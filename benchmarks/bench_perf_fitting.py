@@ -24,15 +24,13 @@ and reports ``batched_speedup``.  ``--min-batched-speedup X`` turns
 that number into a CI gate: exit non-zero if the HMM batched speedup
 drops below ``X`` or the engines diverge numerically.
 
-The ``kernel_matrix`` section compares the per-row E-step kernels
+The ``kernel_matrix`` section compares the two per-row E-step kernels
 inside the batch engine on the HMM fit (hidden width 2, where the
 blocked kernel is the ``auto`` default): the per-time-step ``loop``
-kernel (``backend="batched"``), the blocked scan kernel
-(``backend="blocked"``) at float64 and float32, and the numba kernel
-(``backend="compiled"``) when numba is importable.  All float64 kernels
-must pick the identical winning restart with log-likelihoods within
-1e-9 relative; ``--min-blocked-speedup X`` gates
-``blocked_speedup = batched_seconds / blocked_seconds`` in CI.
+kernel (``backend="batched"``) and the blocked scan kernel
+(``backend="blocked"``).  Both must pick the identical winning restart
+with log-likelihoods within 1e-9 relative; ``--min-blocked-speedup X``
+gates ``blocked_speedup = batched_seconds / blocked_seconds`` in CI.
 
 The ``telemetry`` section quantifies the observability tax: per-call cost
 of each disabled instrumentation entry point, the number of telemetry
@@ -71,7 +69,6 @@ from repro.experiments.runner import run_scenario  # noqa: E402
 from repro.experiments.scenarios import strong_dcl_scenario  # noqa: E402
 from repro.models.base import SymbolIndex  # noqa: E402
 from repro.models.batched import batched_restart_fits  # noqa: E402
-from repro.models.compiled import HAVE_NUMBA  # noqa: E402
 from repro.models.hmm import _fit_hmm_restart, fit_hmm  # noqa: E402
 from repro.models.mmhd import _fit_mmhd_restart, fit_mmhd  # noqa: E402
 from repro.parallel import shutdown_pools  # noqa: E402
@@ -276,25 +273,19 @@ def bench_backend_matrix(seq) -> dict:
 
 
 def bench_kernel_matrix(seq) -> dict:
-    """Loop vs blocked vs compiled per-row kernels on the HMM fit.
+    """Loop vs blocked per-row kernels on the HMM fit.
 
-    All rows go through :func:`batched_restart_fits` so the only thing
-    that varies is the forward–backward kernel (and, for the float32
-    row, the recursion dtype).  Float64 kernels are reassociations of
-    the same arithmetic: identical winning restart, log-likelihoods
-    within 1e-9 relative.  The float32 row is reported with its own
-    looser agreement figure rather than asserted against the float64
-    bar.
+    Both rows go through :func:`batched_restart_fits` so the only thing
+    that varies is the forward–backward kernel.  The kernels are
+    reassociations of the same arithmetic: identical winning restart,
+    log-likelihoods within 1e-9 relative.
     """
     base = common.em_config().replace(n_restarts=MATRIX_RESTARTS, n_jobs=1)
     rows = {
         "batched": base.replace(backend="batched"),
         "blocked": base.replace(backend="blocked"),
-        "blocked_float32": base.replace(backend="blocked", dtype="float32"),
     }
-    if HAVE_NUMBA:
-        rows["compiled"] = base.replace(backend="compiled")
-    matrix = {"n_restarts": MATRIX_RESTARTS, "numba_available": HAVE_NUMBA}
+    matrix = {"n_restarts": MATRIX_RESTARTS}
     timings = {name: float("inf") for name in rows}
     fits = {}
     for _ in range(REPS):
@@ -319,19 +310,15 @@ def bench_kernel_matrix(seq) -> dict:
             "best_restart_identical": bool(same_winner),
             "loglik_rel_diff": rel_diff,
         }
-        if name != "blocked_float32":
-            assert same_winner, (
-                f"{name}: kernel picked a different winning restart"
-            )
-            assert rel_diff <= 1e-9, (
-                f"{name}: kernel diverged from the loop reference "
-                f"(rel diff {rel_diff:.2e})"
-            )
+        assert same_winner, (
+            f"{name}: kernel picked a different winning restart"
+        )
+        assert rel_diff <= 1e-9, (
+            f"{name}: kernel diverged from the loop reference "
+            f"(rel diff {rel_diff:.2e})"
+        )
     matrix["blocked_speedup"] = round(
         timings["batched"] / timings["blocked"], 3)
-    if HAVE_NUMBA:
-        matrix["compiled_speedup"] = round(
-            timings["batched"] / timings["compiled"], 3)
     return matrix
 
 

@@ -86,11 +86,10 @@ def _scenario_by_name(name: str):
 def _identify_config(args) -> IdentifyConfig:
     em = None
     em_backend = getattr(args, "em_backend", None)
-    em_dtype = getattr(args, "em_dtype", None)
-    if em_backend or em_dtype:
+    if em_backend:
         from repro.models.base import EMConfig
 
-        em = EMConfig(backend=em_backend, dtype=em_dtype)
+        em = EMConfig(backend=em_backend)
     return IdentifyConfig(
         n_symbols=args.symbols,
         n_hidden=args.hidden,
@@ -128,15 +127,9 @@ def _add_identify_options(parser: argparse.ArgumentParser) -> None:
                         help="known propagation delay P (default: use the "
                              "minimum observed delay)")
     parser.add_argument("--em-backend", default=None,
-                        choices=["auto", "batched", "blocked", "compiled",
-                                 "sequential"],
+                        choices=["auto", "batched", "blocked", "sequential"],
                         help="E-step engine (default: auto state-width "
                              "heuristic; see also REPRO_EM_BACKEND)")
-    parser.add_argument("--em-dtype", default=None,
-                        choices=["float64", "float32"],
-                        help="forward-backward working precision (float32 "
-                             "auto-demotes to float64 on underflow; see "
-                             "also REPRO_EM_DTYPE)")
 
 
 def build_parser() -> argparse.ArgumentParser:

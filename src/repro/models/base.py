@@ -22,6 +22,7 @@ __all__ = [
     "SymbolStack",
     "EMConfig",
     "FittedModel",
+    "forward_backward",
     "require_losses",
 ]
 
@@ -277,11 +278,11 @@ class EMConfig:
         each restart's RNG stream depends only on ``(seed, restart)``
         and the best-fit reduction happens in restart order.
     fast_path:
-        Use the structured E-step (per-symbol index caching; for the
-        MMHD, support-restricted forward-backward recursions).  The
+        Use the MMHD's structured E-step (support-restricted
+        forward-backward recursions) in the sequential engine.  The
         dense reference E-step (``False``) computes the same quantities
-        the textbook way; it exists for cross-checking and benchmarking
-        and agrees with the fast path to floating-point round-off.
+        the textbook way and agrees with the fast path to floating-point
+        round-off.  The batched engine always runs the dense recursion.
     backend:
         E-step execution engine for multi-restart fits.  ``"sequential"``
         runs one forward-backward per restart (the classic per-restart
@@ -291,42 +292,25 @@ class EMConfig:
         instead of ``R x T`` scalar matvecs (restarts that converge are
         masked out of the batch, frozen, until all finish).
         ``"blocked"`` is the batched engine with the blocked scan
-        kernel: per-step operators for a whole block of B time steps are
-        composed with batched matmuls, cutting the Python-level dispatch
-        count from ``T`` to roughly ``B + 3 T / B`` per E-pass.
-        ``"compiled"`` selects the optional numba kernel and falls back
-        gracefully (to the blocked or loop kernel) when numba is not
-        installed — it is never a hard dependency.  ``"auto"``
-        (default) picks by the documented heuristic in
-        :mod:`repro.models.batched`: blocked for narrow state widths,
+        kernel: per-step operators for a whole block of 64 time steps
+        are composed with batched matmuls, cutting the Python-level
+        dispatch count from ``T`` to roughly ``64 + 3 T / 64`` per
+        E-pass.  ``"auto"`` (default) picks by the documented heuristic
+        in :mod:`repro.models.batched`: blocked for narrow state widths,
         batched for moderate ones, sequential for wide ones.  ``None``
         reads the ``REPRO_EM_BACKEND`` environment variable (falling
         back to ``"auto"``).  All engines produce the same winning
         restart and agree on every statistic to floating-point
         round-off; with ``n_jobs > 1`` they compose — each pool worker
         runs its restart shard through the selected engine.
-    dtype:
-        Floating-point width of the forward-backward recursions.
-        ``"float64"`` (default) is the reference arithmetic;
-        ``"float32"`` halves the recursion bandwidth, and the batched
-        driver automatically demotes a fit back to float64 (visible in
-        the ``em.backend`` telemetry event and the
-        ``repro_em_dtype_fallback_total`` counter) when the narrower
-        scales hit zero likelihood or underflow.  Model parameters and
-        M-step statistics stay float64 either way.  ``None`` reads the
-        ``REPRO_EM_DTYPE`` environment variable (falling back to
-        ``"float64"``).
-    block_size:
-        Time-block length B of the blocked scan kernel.  ``None``
-        (default) auto-tunes: restart stacks balance the B scan steps
-        against the ``3 T / B`` boundary steps from the sequence length,
-        while ragged mega-batches pin a fixed default so per-row results
-        never depend on batch composition.  Reads the
-        ``REPRO_EM_BLOCK_SIZE`` environment variable when ``None``.
+
+    The recursions always run in float64 with a fixed block length: a
+    float32 recursion measured slower than float64 on the 8-restart HMM
+    fit (4.27 s vs 3.63 s) and less exact, and a block length tuned to
+    the sequence length measured no faster than the fixed 64.
     """
 
-    BACKENDS = ("auto", "batched", "blocked", "compiled", "sequential")
-    DTYPES = ("float64", "float32")
+    BACKENDS = ("auto", "batched", "blocked", "sequential")
 
     def __init__(
         self,
@@ -342,8 +326,6 @@ class EMConfig:
         n_jobs: int = 1,
         fast_path: bool = True,
         backend: Optional[str] = None,
-        dtype: Optional[str] = None,
-        block_size: Optional[int] = None,
     ):
         if tol <= 0:
             raise ValueError(f"tol must be positive, got {tol}")
@@ -375,21 +357,6 @@ class EMConfig:
                 f"backend must be one of {self.BACKENDS}, got {backend!r}"
             )
         self.backend = backend
-        if dtype is None:
-            dtype = os.environ.get("REPRO_EM_DTYPE") or "float64"
-        if dtype not in self.DTYPES:
-            raise ValueError(
-                f"dtype must be one of {self.DTYPES}, got {dtype!r}"
-            )
-        self.dtype = dtype
-        if block_size is None:
-            env_block = os.environ.get("REPRO_EM_BLOCK_SIZE")
-            block_size = int(env_block) if env_block else None
-        if block_size is not None and int(block_size) < 1:
-            raise ValueError(
-                f"block_size must be >= 1 or None, got {block_size}"
-            )
-        self.block_size = None if block_size is None else int(block_size)
 
     def replace(self, **overrides) -> "EMConfig":
         """A copy of this config with the given fields overridden.
@@ -411,8 +378,6 @@ class EMConfig:
             n_jobs=self.n_jobs,
             fast_path=self.fast_path,
             backend=self.backend,
-            dtype=self.dtype,
-            block_size=self.block_size,
         )
         unknown = set(overrides) - set(fields)
         if unknown:
@@ -477,6 +442,40 @@ def require_losses(seq: ObservationSequence, what: str) -> None:
             f"0 losses in {len(seq)} observations; the paper's estimators "
             "are posteriors at loss instants and are undefined without them"
         )
+
+
+def forward_backward(pi: np.ndarray, transition: np.ndarray,
+                     likes: np.ndarray):
+    """Scaled forward-backward over one sequence (Rabiner Section V).
+
+    The dense reference recursion both models share: ``likes`` is the
+    ``(T, S)`` per-step state likelihood, ``pi`` the ``(S,)`` initial
+    distribution and ``transition`` the ``(S, S)`` transition matrix.
+    Returns ``(alpha, beta, scales, log_likelihood)`` with ``alpha``
+    normalised per step so ``gamma = alpha * beta`` directly.  Raises
+    :class:`FloatingPointError` at the first step of zero likelihood.
+    """
+    n_steps = likes.shape[0]
+    alpha = np.empty_like(likes)
+    scales = np.empty(n_steps)
+    state = pi * likes[0]
+    scales[0] = state.sum()
+    if scales[0] <= 0:
+        raise FloatingPointError("zero likelihood at t=0")
+    alpha[0] = state / scales[0]
+    for t in range(1, n_steps):
+        state = (alpha[t - 1] @ transition) * likes[t]
+        total = state.sum()
+        if total <= 0:
+            raise FloatingPointError(f"zero likelihood at t={t}")
+        scales[t] = total
+        alpha[t] = state / total
+
+    beta = np.empty_like(likes)
+    beta[n_steps - 1] = 1.0
+    for t in range(n_steps - 2, -1, -1):
+        beta[t] = transition @ (likes[t + 1] * beta[t + 1]) / scales[t + 1]
+    return alpha, beta, scales, float(np.log(scales).sum())
 
 
 def floor_and_normalize(matrix: np.ndarray, min_prob: float) -> np.ndarray:

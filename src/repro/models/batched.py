@@ -1,68 +1,60 @@
-"""Batched restart-stacked E-step engine for the HMM/MMHD fitters.
+"""Batched E-step engine for the HMM/MMHD fitters.
 
 A multi-restart EM fit runs ``R`` independent forward-backward
 recursions over the same observation sequence.  The sequential engine
 (:func:`repro.models.hmm._fit_hmm_restart` and its MMHD twin) pays the
 interpreted Python time loop once per restart: ``R x T`` tiny
 ``(N,) @ (N, N)`` matvecs dominated by call overhead, not FLOPs.  This
-module stacks all restarts of one fit into parameter tensors
-(``pi: (R, N)``, ``transition: (R, N, N)``, ``emission: (R, N, M)``)
-and runs ONE forward-backward over the stack, so the time loop executes
-``T`` batched ``(R, 1, N) @ (R, N, N)`` matmul steps instead — the
-classic Baum-Welch batching opportunity.
+module stacks parameter sets into tensors (``pi: (K, N)``,
+``transition: (K, N, N)``, ``emission: (K, N, M)``) and runs ONE
+forward-backward over the stack, so the time loop executes ``T``
+batched ``(K, 1, N) @ (K, N, N)`` matmul steps instead — the classic
+Baum-Welch batching opportunity.
 
-Parity with the sequential engine
----------------------------------
-``np.matmul`` computes every batch row independently of the others, so
-each restart's trajectory through the batched recursions depends only on
-its own parameters — never on which other restarts share the stack.
-That is what keeps the repo's determinism contract intact: a fit sharded
-over ``n_jobs`` pool workers (each worker batching its restart shard)
-produces bit-identical per-restart results for every worker count, and
-restarts that converge are *masked out* of the active batch (frozen, not
-recomputed) without perturbing the survivors.  Relative to the
-sequential engine the final log-likelihoods agree to floating-point
-round-off (different BLAS reduction orders), and the winning restart is
-identical — both are asserted by the benchmark and the property tests.
-
-Ragged multi-sequence batches
------------------------------
-The restart stack shares one observation sequence across all rows.  The
-*ragged* engine (:func:`_ragged_forward_backward` plus the
-``_Ragged*Batch`` classes) drops that restriction: rows carry their own
-sequences of unequal length ``T_r``, right-padded to ``t_max`` through a
-:class:`repro.models.base.SymbolStack`.  Padded steps are carried, not
-computed — the forward pass repeats the row's last valid ``alpha`` and
+One engine, ragged rows
+-----------------------
+Every batch row owns its own observation sequence, right-padded to the
+stack's ``t_max`` through a :class:`repro.models.base.SymbolStack`.  A
+restart stack is the equal-length case: ``R`` rows of the same sequence.
+The streaming layer's fused drains stack the warm E-steps of many
+monitor windows — different paths, different window lengths — into one
+mega-batch (:func:`run_hedged_fits`).  Padded steps are carried, not
+computed: the forward pass repeats the row's last valid ``alpha`` and
 forces the padded scale to 1 (``log(1) = 0``), the backward pass carries
 ``beta`` left until the row's last valid step sees exactly the solo
-boundary value 1 — and every gamma/xi/log-likelihood accumulation is
+boundary value 1, and every gamma/xi/log-likelihood accumulation is
 sliced per length group, so contraction lengths (and therefore BLAS
-reduction orders) match a solo fit of each row exactly.  Per-row results
-are *bit-identical* to fitting that row alone, for any batch
-composition.  That is what lets the streaming layer fuse the warm
-E-steps of many monitor windows — different paths, different window
-lengths — into one mega-batch (:func:`run_hedged_fits`) with one
-recursion per drain round instead of one pool task per window, without
-perturbing a single verdict.
+reduction orders) match a solo fit of each row exactly.
 
-Blocked scan kernel
--------------------
-Even fully batched, the recursions above execute ``T`` Python-level
-matmul steps per E-pass, and on a 1-CPU host that dispatch floor — not
-FLOPs — dominates the fit.  :func:`_blocked_forward_backward` removes
-it: time is processed in blocks of ``B`` steps, each block's per-row
-step operators (``transition * diag(likes[t])``) are built with one
-vectorised multiply, the within-block operator prefix (suffix, for the
-backward pass) products are computed by a scan of ``B`` batched matmuls
-*across all blocks simultaneously*, and only the ``T / B`` block
-boundaries chain sequentially.  Per-step ``alpha``/``beta``/``scales``
-are reconstructed exactly from the composed operators, with power-of-two
-rescaling (exact in floating point) keeping the scaled-recursion
-numerics intact.  Python dispatches per pass drop from ``T`` to about
-``B + 3 T / B``.  Padded operators are the identity, which applies
-bitwise-exactly, so ragged rows keep the carried-padding semantics and
-per-row results stay independent of batch composition (the ragged
-kernel additionally pins a fixed block size for the same reason).
+Parity
+------
+``np.matmul`` computes every batch row independently of the others, so
+each row's results are *bit-identical* to running that row alone, for
+any batch composition.  That keeps the determinism contracts intact: a
+fit sharded over ``n_jobs`` pool workers produces bit-identical
+per-restart results for every worker count, restarts that converge are
+*masked out* of the active batch without perturbing the survivors, and
+fused, pool and solo drains publish byte-identical verdict streams.
+Relative to the sequential engine the final log-likelihoods agree to
+floating-point round-off and the winning restart is identical — both
+are asserted by the benchmark and the property tests.
+
+Kernels
+-------
+The batch runs one of two forward-backward kernels:
+
+* ``loop`` (:func:`_loop_forward_backward`): one batched matmul per time
+  step.
+* ``blocked`` (:func:`_blocked_forward_backward`): time is processed in
+  blocks of :data:`BLOCK_SIZE` steps.  Each block's per-row step
+  operators (``transition * diag(likes[t])``) are built with one
+  vectorised multiply, the within-block operator prefix (suffix, for
+  the backward pass) products are computed by a scan across all blocks
+  at once, and only the ``T / B`` block boundaries chain sequentially.
+  Power-of-two rescaling (exact in floating point) keeps the products in
+  range.  Python dispatches per pass drop from ``T`` to about
+  ``B + 3 T / B``.  Padded operators are the identity, which applies
+  bitwise-exactly, so padded rows keep the carried-padding semantics.
 
 Backend-selection heuristic
 ---------------------------
@@ -73,20 +65,19 @@ Backend-selection heuristic
   blocked scan pays ``N^3`` operator-composition FLOPs to save
   dispatches, a trade measured to win up to width 4 (about 3x at
   width 2) and lose from width 6 on a 1-CPU host.
-* **batched** when the width is at most :data:`BATCHED_STATE_LIMIT`.
-  Small widths mean each sequential step is interpreter-bound, so
-  stacking restarts multiplies useful work per Python step at no extra
-  cost.
+* **batched** (the loop kernel) when the width is at most
+  :data:`BATCHED_STATE_LIMIT`.  Small widths mean each sequential step
+  is interpreter-bound, so stacking rows multiplies useful work per
+  Python step at no extra cost.
 * **sequential** beyond the limit: wide-state matvecs are already
   BLAS-bound, and an ``R``-fold batch only grows the working set past
   cache for no interpreter savings.
 
-``backend="compiled"`` routes the batched engine through the optional
-numba kernels (:mod:`repro.models.compiled`) and falls back to the
-blocked or loop kernel — recorded in the ``em.backend`` event — when
-numba is absent.
+The MMHD batch runs the dense ``N*M``-wide recursion; the
+support-restricted structured E-step lives only in the sequential
+engine, where it is measured fastest for single fits.
 
-The engines compose with the process pool: ``n_jobs > 1`` splits the
+The engine composes with the process pool: ``n_jobs > 1`` splits the
 restarts into contiguous shards (:func:`repro.parallel.shard_items`) and
 each worker batches its own shard, so pool parallelism and in-process
 batching multiply rather than compete.
@@ -94,25 +85,24 @@ batching multiply rather than compete.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.models import compiled
 from repro.models.base import (
     EMConfig,
     ObservationSequence,
-    SymbolIndex,
     SymbolStack,
     floor_and_normalize,
 )
+from repro.models.hmm import _EStepStats as _HMMStats
 from repro.models.hmm import FittedHMM, HiddenMarkovModel
 from repro.models.initialization import (
     hmm_initial_parameters,
     mmhd_initial_parameters,
 )
+from repro.models.mmhd import _EStepStats as _MMHDStats
 from repro.models.mmhd import FittedMMHD, MarkovModelHiddenDimension
 from repro.models.telemetry import record_fit, record_restart
 from repro.parallel import parallel_map, resolve_n_jobs, restart_rng, shard_items
@@ -121,8 +111,8 @@ __all__ = [
     "BATCH_BACKENDS",
     "BATCHED_STATE_LIMIT",
     "BLOCKED_STATE_LIMIT",
+    "BLOCK_SIZE",
     "resolve_backend",
-    "resolve_block_size",
     "batched_restart_fits",
     "run_hedged_fit",
     "run_hedged_fits",
@@ -143,28 +133,27 @@ BATCHED_STATE_LIMIT = 64
 #: width for M=5), which fixes the cutoff at 4.
 BLOCKED_STATE_LIMIT = 4
 
-#: Backends served by the batched restart-stack engine (as opposed to
-#: the per-restart sequential loop).  Streaming layers use membership
-#: here to decide whether the hedged/fused drain machinery applies.
-BATCH_BACKENDS = frozenset({"batched", "blocked", "compiled"})
+#: Backends served by the batched engine (as opposed to the per-restart
+#: sequential loop).  Streaming layers use membership here to decide
+#: whether the hedged/fused drain machinery applies.
+BATCH_BACKENDS = frozenset({"batched", "blocked"})
 
-#: Fixed block size of the *ragged* blocked kernel.  Auto-tuning from
-#: the stack's ``t_max`` would make a row's operator-composition order
-#: depend on which other windows share its mega-batch, breaking the
-#: fused-equals-solo bit-identity contract; a pinned default keeps every
-#: batch composition on the same arithmetic.
-RAGGED_BLOCK_SIZE = 64
+#: Time-block length of the blocked scan kernel.  It is fixed so a row's
+#: operator-composition order never depends on which other rows share
+#: its batch (the fused-equals-solo bit-identity contract).  Measured at
+#: T=3000 on a 2-CPU host, it was as fast as a block length tuned to
+#: ``sqrt(3 T)``.
+BLOCK_SIZE = 64
 
 #: Scan steps between power-of-two rescales of the composed operators.
 #: Rescaling is exact (and provably cannot change the reconstructed
 #: values outside under/overflow), so the cadence is purely a range
-#: safety knob: float64 survives 16 steps of even likelihood ~1e-18,
-#: float32's narrow exponent needs the tighter cadence.
-_RESCALE_EVERY = {np.dtype(np.float64): 16, np.dtype(np.float32): 4}
+#: safety knob: float64 survives 16 steps of even likelihood ~1e-18.
+_RESCALE_EVERY = 16
 
 #: Elements per (steps, K, N, N) operator buffer above which the blocked
 #: kernel processes time in chunks of whole blocks, bounding peak memory
-#: (~32 MB per float64 buffer) at paper-scale T for wide states.
+#: (~32 MB per buffer) at paper-scale T for wide states.
 _CHUNK_ELEMENTS = 1 << 22
 
 
@@ -182,49 +171,6 @@ def resolve_backend(
     if width <= BLOCKED_STATE_LIMIT:
         return "blocked"
     return "batched" if width <= BATCHED_STATE_LIMIT else "sequential"
-
-
-def resolve_block_size(n_steps: Optional[int] = None,
-                       width: int = 2) -> int:
-    """Auto-tuned time-block length B for the blocked scan kernel.
-
-    One E-pass costs about ``B`` Python-level scan steps plus ``3 T / B``
-    boundary-chain steps, minimised near ``B = sqrt(3 T)``; the nearest
-    power of two in ``[32, 256]`` captures that optimum to within a few
-    percent on the measured workloads.  Wide states cap at 128 so the
-    ``(B, K, N, N)`` scan working set stays cache-resident.  Without a
-    sequence length (the ragged mega-batch case) the fixed
-    :data:`RAGGED_BLOCK_SIZE` applies — see its docstring.
-    """
-    if n_steps is None:
-        return RAGGED_BLOCK_SIZE
-    target = math.sqrt(3.0 * max(int(n_steps), 1))
-    block = 32
-    while block < 256 and (block * 2) / target < target / block:
-        block *= 2
-    if width > BLOCKED_STATE_LIMIT:
-        block = min(block, 128)
-    return block
-
-
-def _resolve_kernel(backend: str, width: int):
-    """Concrete forward-backward kernel for a batched-family backend.
-
-    Returns ``(kernel, fallback_reason)``.  ``"compiled"`` degrades
-    gracefully when numba is absent — to the blocked kernel where the
-    state is narrow enough for it to pay, else to the loop kernel — and
-    the reason string surfaces in the ``em.backend`` event so a fleet
-    operator can see the degradation instead of silently losing it.
-    """
-    if backend == "compiled":
-        if compiled.HAVE_NUMBA:
-            return "compiled", None
-        if width <= BLOCKED_STATE_LIMIT:
-            return "blocked", "numba-missing"
-        return "loop", "numba-missing"
-    if backend == "blocked":
-        return "blocked", None
-    return "loop", None
 
 
 class _BatchZeroLikelihood(Exception):
@@ -253,7 +199,7 @@ class _BatchZeroLikelihood(Exception):
 
 
 # ----------------------------------------------------------------------
-# Shared recursions
+# Recursions
 # ----------------------------------------------------------------------
 def _row_loglik(scales: np.ndarray) -> np.ndarray:
     """Per-row ``sum(log(scales))`` over a time-major ``(T, K)`` array.
@@ -264,15 +210,8 @@ def _row_loglik(scales: np.ndarray) -> np.ndarray:
     to the sequential engine's 1-D ``np.log(scales).sum()``.  (A plain
     ``sum(axis=0)`` over the strided time axis falls back to naive
     left-to-right accumulation and diverges in the last ulps.)
-
-    Float32 scales are upcast before the log-sum: the recursion may run
-    narrow, but accumulating ``T`` log terms in float32 would waste most
-    of the achievable likelihood precision for free.  (For float64 input
-    the cast is the identity, preserving bit-parity.)
     """
-    return np.log(
-        np.ascontiguousarray(scales.T, dtype=np.float64)
-    ).sum(axis=1)
+    return np.log(np.ascontiguousarray(scales.T)).sum(axis=1)
 
 
 def _check_scales(scales: np.ndarray) -> None:
@@ -282,7 +221,9 @@ def _check_scales(scales: np.ndarray) -> None:
     that hits zero total likelihood poisons only its own lane with NaN
     (row independence), so one vectorised check after the pass replaces
     a per-step ``min()`` — about a third of the old loop cost.  NaN
-    scales fail ``> 0`` and are reported alongside exact zeros.
+    scales fail ``> 0`` and are reported alongside exact zeros.  Padded
+    scales are exactly 1.0, so only genuine zeros (always at a valid
+    step of some row) are reported.
     """
     bad = ~(scales > 0)
     if bad.any():
@@ -302,11 +243,11 @@ class _Workspace:
     Every E-pass of one fit needs the same ``alpha``/``beta``/``buf``/
     ``scales`` (and, blocked, operator/prefix) arrays; reallocating them
     each iteration costs an allocator round-trip and a page-fault sweep
-    per buffer per pass.  :meth:`get` hands out views of flat buffers
-    that are only (re)allocated when a request grows past the cached
-    capacity or changes dtype — the first iteration sizes everything for
-    the full batch, and later iterations (whose active row count only
-    shrinks under convergence masking) slice the same memory.
+    per buffer per pass.  :meth:`get` hands out views of flat float64
+    buffers that are only (re)allocated when a request grows past the
+    cached capacity — the first iteration sizes everything for the full
+    batch, and later iterations (whose active row count only shrinks
+    under convergence masking) slice the same memory.
     """
 
     __slots__ = ("_buffers",)
@@ -314,42 +255,66 @@ class _Workspace:
     def __init__(self):
         self._buffers: dict = {}
 
-    def get(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+    def get(self, name: str, shape) -> np.ndarray:
         size = 1
         for dim in shape:
             size *= int(dim)
         buf = self._buffers.get(name)
-        if buf is None or buf.dtype != np.dtype(dtype) or buf.size < size:
-            buf = np.empty(size, dtype=dtype)
+        if buf is None or buf.size < size:
+            buf = np.empty(size)
             self._buffers[name] = buf
         return buf[:size].reshape(shape)
 
-    def clear(self) -> None:
-        self._buffers.clear()
+
+def _length_groups(lengths):
+    """``(length, row positions)`` per distinct row length, ascending.
+
+    The accumulation loops slice their time axis per group so every GEMM
+    and reduction contracts over exactly the row's own ``T_r`` steps —
+    the property that keeps per-row statistics bit-identical to a solo
+    fit (zero-padding the contraction would change the BLAS blocking).
+    """
+    return [
+        (int(t), np.flatnonzero(lengths == t)) for t in np.unique(lengths)
+    ]
 
 
-def _batched_forward_backward(pi, transition, likes, workspace=None):
-    """Scaled forward-backward over a restart stack.
+def _loop_forward_backward(pi, transition, likes, lengths, workspace=None):
+    """Scaled forward-backward, one batched matmul per time step.
 
     ``likes`` is time-major ``(T, K, n)`` so each step's slice is
     contiguous; ``pi`` is ``(K, n)`` and ``transition`` ``(K, n, n)``.
-    Returns ``(alpha, beta, scales, loglik)`` with ``alpha`` normalised
-    per step so ``gamma = alpha * beta`` directly, matching the
-    sequential recursions row for row.
+    Row ``k`` is only meaningful for its first ``lengths[k]`` steps
+    (zero beyond).  Returns ``(alpha, beta, scales)`` with ``alpha``
+    normalised per step so ``gamma = alpha * beta`` directly.
 
-    The hot loops write through preallocated ``out=`` targets (each
-    ``alpha[t]`` / ``beta[t]`` slice is contiguous, so the matmul lands
-    directly in the output array), and the backward pass folds the
-    ``1/scales`` factor into the likelihoods once, vectorised, instead
-    of dividing inside the loop.  ``workspace`` reuses one fit's
-    buffers across iterations; the returned arrays are views into it,
-    valid until the next pass.
+    Padded steps are *carried*: the forward pass repeats the last valid
+    ``alpha`` and forces the padded scale to 1, so the per-row
+    log-likelihood (``sum(log(scales[:T_r]))``, taken by the caller per
+    length group) never sees a padded factor; the backward pass carries
+    ``beta`` leftward so the row's last valid step holds exactly the
+    solo boundary value 1.  Every valid slot is bit-identical to a solo
+    run of that row.
+
+    The hot loops write through preallocated ``out=`` targets, and the
+    backward pass folds the ``1/scales`` factor into the likelihoods
+    once, vectorised.  ``workspace`` reuses one fit's buffers across
+    iterations; the returned arrays are views into it, valid until the
+    next pass.
     """
     n_steps, n_rows, n = likes.shape
     ws = workspace if workspace is not None else _Workspace()
-    dtype = likes.dtype
-    alpha = ws.get("alpha", likes.shape, dtype)
-    scales = ws.get("scales", (n_steps, n_rows), dtype)
+    lengths = np.asarray(lengths)
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    min_len = int(sorted_lengths[0])
+
+    def padded_rows(t):
+        """Rows already past their end at step ``t`` (length <= t)."""
+        return order[: np.searchsorted(sorted_lengths, t, side="right")]
+
+    alpha = ws.get("alpha", likes.shape)
+    scales = ws.get("scales", (n_steps, n_rows))
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         state = pi * likes[0]
         total = np.add.reduce(state, axis=1)
@@ -363,20 +328,27 @@ def _batched_forward_backward(pi, transition, likes, workspace=None):
             total = np.add.reduce(state, axis=1)
             scales[t] = total
             state /= total[:, None]
+            if t >= min_len:
+                pad = padded_rows(t)
+                state[pad] = alpha[t - 1][pad]
+                scales[t, pad] = 1.0
         _check_scales(scales)
-        beta = ws.get("beta", likes.shape, dtype)
+        beta = ws.get("beta", likes.shape)
         beta[n_steps - 1] = 1.0
-        scaled = ws.get("scaled", (n_steps - 1, n_rows, n), dtype)
+        scaled = ws.get("scaled", (n_steps - 1, n_rows, n))
         np.divide(likes[1:], scales[1:, :, None], out=scaled)
-        buf = ws.get("buf", (n_rows, n, 1), dtype)
+        buf = ws.get("buf", (n_rows, n, 1))
         for t in range(n_steps - 2, -1, -1):
             np.multiply(scaled[t], beta[t + 1], out=buf[:, :, 0])
             np.matmul(transition, buf, out=beta[t].reshape(n_rows, n, 1))
-    return alpha, beta, scales, _row_loglik(scales)
+            if t + 1 >= min_len:
+                pad = padded_rows(t + 1)
+                beta[t][pad] = beta[t + 1][pad]
+    return alpha, beta, scales
 
 
 def _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps):
-    """Overwrite ragged rows' padded step operators with the identity.
+    """Overwrite padded rows' step operators with the identity.
 
     ``ops_flat`` holds this chunk's operators for global op indices
     ``o0 + j``; op ``j`` maps step ``j`` to step ``j + 1``, so a row of
@@ -384,7 +356,7 @@ def _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps):
     padding.  Applying the identity is bitwise exact (``x * 1 = x``,
     ``x + 0 = x`` for the non-negative values here), which is what keeps
     a row's valid-region arithmetic independent of how far the batch is
-    padded — the ragged bit-identity contract.
+    padded.
     """
     for t_g, idx in groups:
         if t_g >= n_steps:
@@ -394,14 +366,12 @@ def _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps):
             ops_flat[start:n_slots, idx] = eye
 
 
-def _blocked_forward_backward(pi, transition, likes, block_size=None,
-                              lengths=None, workspace=None):
+def _blocked_forward_backward(pi, transition, likes, lengths,
+                              workspace=None, block_size=BLOCK_SIZE):
     """Blocked-scan forward-backward: the dispatch-floor killer.
 
-    Same contract as :func:`_batched_forward_backward` /
-    :func:`_ragged_forward_backward` (returns ``(alpha, beta, scales)``;
-    uniform callers append :func:`_row_loglik`), but the per-step Python
-    loop is replaced by operator composition:
+    Same contract as :func:`_loop_forward_backward`, but the per-step
+    Python loop is replaced by operator composition:
 
     1. Build every step operator ``transition * diag(likes[t])`` of a
        chunk with one vectorised multiply.
@@ -418,24 +388,23 @@ def _blocked_forward_backward(pi, transition, likes, block_size=None,
        ``scales`` fall out of the ratios of unnormalised totals.
 
     The backward pass mirrors this with suffix products, tracking the
-    cumulative rescale in (exact) log2 space.  Ragged rows pad with
-    identity operators (bitwise-exact application) and their carried
+    cumulative rescale in (exact) log2 space.  Padded rows use identity
+    operators (bitwise-exact application) and their carried
     ``alpha``/``scales``/``beta`` slots are overwritten with the exact
     carry semantics of the loop kernel afterwards, so valid-region
     results never depend on the batch's ``t_max``.  Chunking bounds the
     operator buffers at :data:`_CHUNK_ELEMENTS` elements without
     changing any arithmetic (blocks only interact through the boundary
-    chain, which is chunk-oblivious).
+    chain, which is chunk-oblivious).  ``block_size`` exists for the
+    kernel's property tests; the engine always runs :data:`BLOCK_SIZE`.
     """
     n_steps, n_rows, n = likes.shape
     ws = workspace if workspace is not None else _Workspace()
-    dtype = likes.dtype
-    alpha = ws.get("alpha", likes.shape, dtype)
-    beta = ws.get("beta", likes.shape, dtype)
-    scales = ws.get("scales", (n_steps, n_rows), dtype)
+    alpha = ws.get("alpha", likes.shape)
+    beta = ws.get("beta", likes.shape)
+    scales = ws.get("scales", (n_steps, n_rows))
     n_ops = n_steps - 1
-    groups = _length_groups(np.asarray(lengths)) if lengths is not None \
-        else None
+    groups = _length_groups(np.asarray(lengths))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         state = pi * likes[0]
@@ -447,13 +416,9 @@ def _blocked_forward_backward(pi, transition, likes, block_size=None,
             _check_scales(scales)
             return alpha, beta, scales
 
-        block = int(block_size) if block_size else resolve_block_size(
-            n_steps if lengths is None else None, n
-        )
-        block = max(1, block)
-        rescale_every = _RESCALE_EVERY.get(np.dtype(dtype), 16)
-        tiny = np.finfo(dtype).tiny
-        eye = np.eye(n, dtype=dtype)
+        block = max(1, int(block_size))
+        tiny = np.finfo(np.float64).tiny
+        eye = np.eye(n)
         n_blocks = -(-n_ops // block)
         per_block = block * n_rows * n * n
         chunk_blocks = max(1, _CHUNK_ELEMENTS // per_block)
@@ -466,54 +431,51 @@ def _blocked_forward_backward(pi, transition, likes, block_size=None,
             o1 = min(o0 + nb * block, n_ops)
             n_c = o1 - o0
             n_slots = nb * block
-            ops = ws.get("ops", (nb, block, n_rows, n, n), dtype)
+            ops = ws.get("ops", (nb, block, n_rows, n, n))
             ops_flat = ops.reshape(n_slots, n_rows, n, n)
             np.multiply(transition, likes[1 + o0: 1 + o1, :, None, :],
                         out=ops_flat[:n_c])
             if n_slots > n_c:
                 ops_flat[n_c:] = eye
-            if groups is not None:
-                _pad_ops_identity(ops_flat, o0, n_slots, groups, eye,
-                                  n_steps)
-            prefix = ws.get("prefix", (nb, block, n_rows, n, n), dtype)
-            d = ws.get("rescale", (nb, block, n_rows), dtype)
+            _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps)
+            prefix = ws.get("prefix", (nb, block, n_rows, n, n))
+            d = ws.get("rescale", (nb, block, n_rows))
             d[:] = 1.0
             prefix[:, 0] = ops[:, 0]
             for i in range(1, block):
                 np.matmul(prefix[:, i - 1], ops[:, i], out=prefix[:, i])
-                if i % rescale_every == 0:
+                if i % _RESCALE_EVERY == 0:
                     mx = np.amax(prefix[:, i], axis=(-2, -1))
                     np.exp2(np.floor(np.log2(np.maximum(mx, tiny))),
                             out=d[:, i])
                     prefix[:, i] /= d[:, i, :, None, None]
-            entry = ws.get("entry", (nb, n_rows, n), dtype)
+            entry = ws.get("entry", (nb, n_rows, n))
             for b in range(nb):
                 entry[b] = cur
                 end = (cur[:, None, :] @ prefix[b, block - 1])[:, 0, :]
                 cur = end / np.add.reduce(end, axis=1)[:, None]
-            rec = ws.get("recon", (nb, block, n_rows, 1, n), dtype)
+            rec = ws.get("recon", (nb, block, n_rows, 1, n))
             np.matmul(entry[:, None, :, None, :], prefix, out=rec)
             a_hat = rec[:, :, :, 0, :]
-            that = ws.get("totals", (nb, block, n_rows), dtype)
+            that = ws.get("totals", (nb, block, n_rows))
             np.add.reduce(a_hat, axis=3, out=that)
             np.divide(a_hat, that[..., None], out=a_hat)
             alpha[1 + o0: 1 + o1] = a_hat.reshape(-1, n_rows, n)[:n_c]
-            ratio = ws.get("ratio", (nb, block, n_rows), dtype)
+            ratio = ws.get("ratio", (nb, block, n_rows))
             ratio[:, 0] = that[:, 0]
             np.divide(that[:, 1:], that[:, :-1], out=ratio[:, 1:])
             ratio *= d
             scales[1 + o0: 1 + o1] = ratio.reshape(-1, n_rows)[:n_c]
-        if groups is not None:
-            # Exact carried-padding semantics of the ragged loop kernel.
-            for t_g, idx in groups:
-                if t_g < n_steps:
-                    alpha[t_g:, idx] = alpha[t_g - 1, idx]
-                    scales[t_g:, idx] = 1.0
+        # Exact carried-padding semantics of the loop kernel.
+        for t_g, idx in groups:
+            if t_g < n_steps:
+                alpha[t_g:, idx] = alpha[t_g - 1, idx]
+                scales[t_g:, idx] = 1.0
         _check_scales(scales)
 
         # ---- backward: suffix scan with log2-tracked rescale
         beta[n_steps - 1] = 1.0
-        cur = np.ones((n_rows, n), dtype=dtype)
+        cur = np.ones((n_rows, n))
         for c0 in range(n_blocks - chunk_blocks + (-n_blocks) % chunk_blocks,
                         -1, -chunk_blocks):
             c_lo = max(c0, 0)
@@ -522,241 +484,109 @@ def _blocked_forward_backward(pi, transition, likes, block_size=None,
             o1 = min(o0 + nb * block, n_ops)
             n_c = o1 - o0
             n_slots = nb * block
-            ops = ws.get("ops", (nb, block, n_rows, n, n), dtype)
+            ops = ws.get("ops", (nb, block, n_rows, n, n))
             ops_flat = ops.reshape(n_slots, n_rows, n, n)
-            sc = ws.get("scaled", (n_c, n_rows, n), dtype)
+            sc = ws.get("scaled", (n_c, n_rows, n))
             np.divide(likes[1 + o0: 1 + o1],
                       scales[1 + o0: 1 + o1, :, None], out=sc)
             np.multiply(transition, sc[:, :, None, :], out=ops_flat[:n_c])
             if n_slots > n_c:
                 ops_flat[n_c:] = eye
-            if groups is not None:
-                _pad_ops_identity(ops_flat, o0, n_slots, groups, eye,
-                                  n_steps)
-            suffix = ws.get("prefix", (nb, block, n_rows, n, n), dtype)
-            ld = ws.get("logd", (nb, block, n_rows), dtype)
+            _pad_ops_identity(ops_flat, o0, n_slots, groups, eye, n_steps)
+            suffix = ws.get("prefix", (nb, block, n_rows, n, n))
+            ld = ws.get("logd", (nb, block, n_rows))
             suffix[:, block - 1] = ops[:, block - 1]
             ld[:, block - 1] = 0.0
             for i in range(block - 2, -1, -1):
                 np.matmul(ops[:, i], suffix[:, i + 1], out=suffix[:, i])
-                if i and i % rescale_every == 0:
+                if i and i % _RESCALE_EVERY == 0:
                     mx = np.amax(suffix[:, i], axis=(-2, -1))
                     di = np.exp2(np.floor(np.log2(np.maximum(mx, tiny))))
                     suffix[:, i] /= di[:, :, None, None]
                     np.add(ld[:, i + 1], np.log2(di), out=ld[:, i])
                 else:
                     ld[:, i] = ld[:, i + 1]
-            bend = ws.get("bend", (nb, n_rows, n), dtype)
+            bend = ws.get("bend", (nb, n_rows, n))
             for b in range(nb - 1, -1, -1):
                 bend[b] = cur
                 nxt = (suffix[b, 0] @ cur[:, :, None])[:, :, 0]
                 cur = nxt * np.exp2(ld[b, 0])[:, None]
-            rec = ws.get("recon", (nb, block, n_rows, n, 1), dtype)
+            rec = ws.get("recon", (nb, block, n_rows, n, 1))
             np.matmul(suffix, bend[:, None, :, :, None], out=rec)
             b_hat = rec[:, :, :, :, 0]
-            undo = ws.get("totals", (nb, block, n_rows), dtype)
+            undo = ws.get("totals", (nb, block, n_rows))
             np.exp2(ld, out=undo)
             b_hat *= undo[..., None]
             beta[o0:o1] = b_hat.reshape(-1, n_rows, n)[:n_c]
-        if groups is not None:
-            # The ragged loop kernel carries beta leftward so every slot
-            # from the row's last valid step on holds exactly 1.
-            for t_g, idx in groups:
-                if t_g < n_steps:
-                    beta[t_g - 1:, idx] = 1.0
+        # The loop kernel carries beta leftward so every slot from the
+        # row's last valid step on holds exactly 1.
+        for t_g, idx in groups:
+            if t_g < n_steps:
+                beta[t_g - 1:, idx] = 1.0
     return alpha, beta, scales
 
 
-class _KernelState:
-    """Kernel, precision, and workspace state shared by both aux kinds.
+class _EStepAux:
+    """Per-batch constants shared by every E-pass of one batch.
 
-    One aux owns one fit's forward-backward configuration: which kernel
-    runs the recursions (``loop`` / ``blocked`` / ``compiled``), at what
-    dtype, with what block size, and against which per-fit
-    :class:`_Workspace`.  The E-step batches stay kernel-oblivious —
-    they hand ``(pi, transition, likes)`` to the aux and get back
-    float64 ``(alpha, beta, scales)`` whatever ran underneath.
+    Everything derivable from the stacked symbols alone (the likelihood
+    codes, the HMM's observed-symbol one-hot tensor, the MMHD
+    state-to-symbol map) is computed once per batch.  Row subsets (the driver's active-row
+    masking) slice into these arrays through each sub-batch's
+    ``stack_rows``.  The aux also owns the batch's kernel choice and the
+    :class:`_Workspace` its recursions reuse.
     """
 
-    def _init_kernel(self, config: EMConfig, backend: str, width: int,
-                     n_steps: Optional[int] = None) -> None:
-        self.backend = backend
-        self.width = int(width)
-        self.kernel, self.kernel_fallback = _resolve_kernel(backend, width)
-        self.dtype = np.dtype(
-            np.float32 if config.dtype == "float32" else np.float64
-        )
-        self.block_size = (
-            int(config.block_size) if config.block_size
-            else resolve_block_size(n_steps, width)
-        )
-        self.workspace = _Workspace()
-        self.dtype_fallbacks = 0
-
-    def demote(self) -> bool:
-        """Fall back to float64 after a narrow-precision collapse.
-
-        A zero scale under float32 usually means genuine underflow of
-        the narrow exponent range, not a degenerate model; the driver
-        retries the failed E-pass once at float64 before concluding the
-        likelihood really is zero.  Returns ``True`` exactly when a
-        demotion happened; the count lands in the
-        ``repro_em_dtype_fallback_total`` counter and the ``em.backend``
-        event so the fallback is operator-visible.
-        """
-        if self.dtype == np.float64:
-            return False
-        self.dtype = np.dtype(np.float64)
-        self.dtype_fallbacks += 1
-        if obs.is_enabled():
-            obs.inc("repro_em_dtype_fallback_total", 1.0, model=self.kind)
-        return True
-
-    def _cast_inputs(self, pi, transition, likes):
-        """Narrow the recursion inputs to the working dtype (no-op at
-        float64, preserving bit-parity with the pre-dtype engine)."""
-        if likes.dtype == self.dtype:
-            return pi, transition, likes
-        ws = self.workspace
-        cast = []
-        for name, arr in (("pi_cast", pi), ("transition_cast", transition),
-                          ("likes_cast", likes)):
-            buf = ws.get(name, arr.shape, self.dtype)
-            buf[:] = arr
-            cast.append(buf)
-        return tuple(cast)
-
-    def _widen(self, alpha, beta, scales):
-        """Upcast kernel outputs to float64 views.
-
-        Only the recursions run narrow: the statistics GEMMs and the
-        M-step always accumulate at float64, so a float32 fit trades
-        per-step precision for speed without also degrading the
-        parameter updates.  Exact for float64 input (identity)."""
-        if alpha.dtype == np.float64:
-            return alpha, beta, scales
-        ws = self.workspace
-        wide = []
-        for name, arr in (("alpha64", alpha), ("beta64", beta),
-                          ("scales64", scales)):
-            buf = ws.get(name, arr.shape, np.float64)
-            buf[:] = arr
-            wide.append(buf)
-        return tuple(wide)
-
-    def _compiled_forward_backward(self, pi, transition, likes, lengths):
-        ws = self.workspace
-        n_steps, n_rows, _ = likes.shape
-        alpha = ws.get("alpha", likes.shape, likes.dtype)
-        beta = ws.get("beta", likes.shape, likes.dtype)
-        scales = ws.get("scales", (n_steps, n_rows), likes.dtype)
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            compiled.compiled_forward_backward(
-                np.ascontiguousarray(pi), np.ascontiguousarray(transition),
-                np.ascontiguousarray(likes),
-                np.ascontiguousarray(lengths, dtype=np.int64),
-                alpha, beta, scales,
-            )
-        _check_scales(scales)
-        return alpha, beta, scales
-
-
-class _EStepAux(_KernelState):
-    """Per-fit constants shared by every batched E-pass.
-
-    Everything derivable from the symbols alone — the
-    :class:`SymbolIndex`, the observed-symbol one-hot matrix the scatter
-    sums contract against, the MMHD support columns — is computed once
-    per fit, mirroring what the sequential engine caches per restart.
-    The aux also carries the fit's kernel state (see
-    :class:`_KernelState`); the MMHD *fast* path is its own structured
-    recursion with no dense per-step loop to replace, so there the
-    kernel pins to ``loop`` / float64 and the ``em.backend`` event says
-    so rather than advertising a kernel that never ran.
-    """
-
-    def __init__(self, kind: str, index: SymbolIndex, config: EMConfig,
-                 n_hidden: int, backend: str = "batched"):
-        self.kind = kind
-        self.index = index
+    def __init__(self, kind: str, stack: SymbolStack, n_hidden: int,
+                 backend: str = "batched"):
+        self.stack = stack
         self.n_hidden = int(n_hidden)
-        self.n_symbols = index.n_symbols
-        onehot = np.zeros((len(index), index.n_symbols))
-        onehot[index.observed_idx, index.observed_symbols] = 1.0
-        self.onehot = onehot
-        self.fast = bool(config.fast_path)
-        width = self.n_hidden
-        if kind == "mmhd":
-            self.n_states = self.n_hidden * self.n_symbols
-            self.state_symbol = np.tile(np.arange(self.n_symbols), self.n_hidden)
-            self.cols = [
-                m + self.n_symbols * np.arange(self.n_hidden)
-                for m in range(self.n_symbols)
-            ]
-            width = self.n_states
-        self._init_kernel(config, backend, width, n_steps=len(index))
-        if kind == "mmhd" and self.fast:
-            if self.kernel != "loop":
-                self.kernel, self.kernel_fallback = "loop", "fast-path"
-            self.dtype = np.dtype(np.float64)
-
-    def forward_backward(self, pi, transition, likes):
-        """One uniform forward-backward through the fit's kernel.
-
-        Returns float64 ``(alpha, beta, scales, loglik)`` regardless of
-        the working dtype — the loop-kernel float64 path is byte-for-
-        byte the direct :func:`_batched_forward_backward` call it
-        replaced.
-        """
-        pi, transition, likes = self._cast_inputs(pi, transition, likes)
-        if self.kernel == "compiled":
-            n_rows = likes.shape[1]
-            lengths = np.full(n_rows, likes.shape[0])
-            alpha, beta, scales = self._compiled_forward_backward(
-                pi, transition, likes, lengths
-            )
-        elif self.kernel == "blocked":
-            alpha, beta, scales = _blocked_forward_backward(
-                pi, transition, likes, block_size=self.block_size,
-                workspace=self.workspace,
-            )
+        self.n_symbols = stack.n_symbols
+        self.kernel = "blocked" if backend == "blocked" else "loop"
+        self.workspace = _Workspace()
+        #: Per stack slot, the row of an E-pass's likelihood table to
+        #: read: the observed symbol, ``M`` for a loss, ``M + 1`` (an
+        #: all-zero row) past the row's end.
+        self.codes = np.where(
+            stack.observed, stack.symbols0,
+            np.where(stack.lost, self.n_symbols, self.n_symbols + 1),
+        )
+        if kind == "hmm":
+            # Row-major one-hot observed symbols for the joint_obs GEMM.
+            onehot = np.zeros((stack.n_rows, stack.t_max, stack.n_symbols))
+            k, t = np.nonzero(stack.observed)
+            onehot[k, t, stack.symbols0[k, t]] = 1.0
+            self.onehot = onehot
         else:
-            alpha, beta, scales, loglik = _batched_forward_backward(
-                pi, transition, likes, workspace=self.workspace
+            self.n_states = self.n_hidden * self.n_symbols
+            self.state_symbol = np.tile(
+                np.arange(self.n_symbols), self.n_hidden
             )
-            alpha, beta, scales = self._widen(alpha, beta, scales)
-            return alpha, beta, scales, loglik
-        alpha, beta, scales = self._widen(alpha, beta, scales)
-        return alpha, beta, scales, _row_loglik(scales)
+
+    def forward_backward(self, pi, transition, likes, lengths):
+        """One forward-backward through the batch's kernel."""
+        kernel = (_blocked_forward_backward if self.kernel == "blocked"
+                  else _loop_forward_backward)
+        return kernel(pi, transition, likes, lengths,
+                      workspace=self.workspace)
 
 
 # ----------------------------------------------------------------------
-# HMM restart stack
+# Parameter stacks
 # ----------------------------------------------------------------------
-class _HMMStats:
-    """Per-row sufficient statistics of one batched HMM E-pass."""
-
-    __slots__ = ("gamma0", "xi_sum", "joint_obs", "joint_loss", "loglik")
-
-    def __init__(self, gamma0, xi_sum, joint_obs, joint_loss, loglik):
-        self.gamma0 = gamma0
-        self.xi_sum = xi_sum
-        self.joint_obs = joint_obs
-        self.joint_loss = joint_loss
-        self.loglik = loglik
-
-
 class _HMMBatch:
-    """A stack of K HMM parameter sets, one batch row per restart."""
+    """A stack of K HMM parameter sets; row k fits stack row
+    ``stack_rows[k]``."""
 
     kind = "hmm"
-    __slots__ = ("pi", "transition", "emission", "loss_c")
+    __slots__ = ("pi", "transition", "emission", "loss_c", "stack_rows")
 
-    def __init__(self, pi, transition, emission, loss_c):
+    def __init__(self, pi, transition, emission, loss_c, stack_rows):
         self.pi = pi
         self.transition = transition
         self.emission = emission
         self.loss_c = loss_c
+        self.stack_rows = np.asarray(stack_rows)
 
     @classmethod
     def from_models(cls, models: Sequence[HiddenMarkovModel]) -> "_HMMBatch":
@@ -765,6 +595,7 @@ class _HMMBatch:
             np.stack([m.transition for m in models]),
             np.stack([m.emission for m in models]),
             np.stack([m.loss_given_symbol for m in models]),
+            np.arange(len(models)),
         )
 
     @property
@@ -777,7 +608,7 @@ class _HMMBatch:
     def rows(self, idx) -> "_HMMBatch":
         return _HMMBatch(
             self.pi[idx], self.transition[idx],
-            self.emission[idx], self.loss_c[idx],
+            self.emission[idx], self.loss_c[idx], self.stack_rows[idx],
         )
 
     def set_rows(self, idx, sub: "_HMMBatch") -> None:
@@ -793,28 +624,50 @@ class _HMMBatch:
         )
 
     def estep(self, aux: _EStepAux) -> _HMMStats:
-        index = aux.index
+        stack = aux.stack
+        rows = self.stack_rows
+        lengths = stack.lengths[rows]
+        t_act = int(lengths.max())
         n_rows, n_hidden = self.pi.shape
+        n_symbols = aux.n_symbols
         survive = 1.0 - self.loss_c                       # (K, M)
-        weighted = self.emission * survive[:, None, :]    # (K, N, M)
-        likes = np.empty((len(index), n_rows, n_hidden))
-        syms = index.observed_symbols
-        likes[index.observed_idx] = weighted[:, :, syms].transpose(2, 0, 1)
         loss_like = np.matmul(self.emission, self.loss_c[:, :, None])[:, :, 0]
-        likes[index.loss_idx] = loss_like[None, :, :]
-        alpha, beta, scales, loglik = aux.forward_backward(
-            self.pi, self.transition, likes
+        # Per-row likelihood of each code (symbol, loss, padding),
+        # gathered time-major.
+        table = np.zeros((n_rows, n_symbols + 2, n_hidden))
+        np.multiply(self.emission, survive[:, None, :],
+                    out=table[:, :n_symbols].transpose(0, 2, 1))
+        table[:, n_symbols] = loss_like
+        likes = table[np.arange(n_rows), aux.codes[rows, :t_act].T]
+        lost = stack.lost[rows, :t_act]                   # (K, t_act)
+        alpha, beta, scales = aux.forward_backward(
+            self.pi, self.transition, likes, lengths
         )
         gamma = alpha * beta
         weighted_b = likes[1:] * beta[1:] / scales[1:, :, None]
-        xi_sum = self.transition * np.matmul(
-            alpha[:-1].transpose(1, 2, 0), weighted_b.transpose(1, 0, 2)
-        )
-        # Expected (state, symbol) counts over observed instants: the
-        # sequential engine's scatter-add becomes one batched GEMM
-        # against the shared one-hot symbol matrix.
-        joint_obs = np.matmul(gamma.transpose(1, 2, 0), aux.onehot)
-        gamma_loss_total = gamma[index.loss_idx].sum(axis=0)       # (K, N)
+        onehot = aux.onehot[rows, :t_act]                 # (K, t_act, M)
+        xi_sum = np.empty_like(self.transition)
+        joint_obs = np.empty_like(self.emission)
+        gamma_loss_total = np.empty_like(self.pi)
+        loglik = np.empty(n_rows)
+        for t_g, idx in _length_groups(lengths):
+            g = gamma[:t_g, idx]                          # (t_g, K_g, N)
+            # Expected (state, symbol) counts over observed instants:
+            # one batched GEMM against the one-hot symbol tensor.
+            joint_obs[idx] = np.matmul(
+                g.transpose(1, 2, 0), onehot[idx, :t_g]
+            )
+            xi_sum[idx] = self.transition[idx] * np.matmul(
+                alpha[: t_g - 1, idx].transpose(1, 2, 0),
+                weighted_b[: t_g - 1, idx].transpose(1, 0, 2),
+            )
+            # Masked time sum == a gathered loss-step sum: axis-0
+            # reductions accumulate strictly left to right, so
+            # interleaved zeros cannot move a single bit.
+            gamma_loss_total[idx] = np.add.reduce(
+                g * lost[idx, :t_g].T[:, :, None], axis=0
+            )
+            loglik[idx] = _row_loglik(scales[:t_g, idx])
         joint_loss = (
             (gamma_loss_total / loss_like)[:, :, None]
             * self.emission
@@ -834,40 +687,31 @@ class _HMMBatch:
             symbol_mass + prior_losses + prior_observations, 1e-300
         )
         loss_c = np.clip(loss_c, min_prob, 1.0 - min_prob)
-        return _HMMBatch(pi, transition, emission, loss_c)
+        return _HMMBatch(pi, transition, emission, loss_c, self.stack_rows)
 
     @staticmethod
     def loss_symbol_mass(stats: _HMMStats):
         return stats.joint_loss.sum(axis=1)
 
 
-# ----------------------------------------------------------------------
-# MMHD restart stack
-# ----------------------------------------------------------------------
-class _MMHDStats:
-    """Per-row sufficient statistics of one batched MMHD E-pass."""
-
-    __slots__ = ("gamma0", "xi_sum", "loss_mass", "total_mass", "loglik")
-
-    def __init__(self, gamma0, xi_sum, loss_mass, total_mass, loglik):
-        self.gamma0 = gamma0
-        self.xi_sum = xi_sum
-        self.loss_mass = loss_mass
-        self.total_mass = total_mass
-        self.loglik = loglik
-
-
 class _MMHDBatch:
-    """A stack of K MMHD parameter sets, one batch row per restart."""
+    """A stack of K MMHD parameter sets; row k fits stack row
+    ``stack_rows[k]``.
+
+    Uses the dense ``(T, K, N*M)`` state layout: rows' symbol sequences
+    differ, so the sequential engine's support-restricted block
+    structure, keyed off one symbol sequence, cannot batch them.
+    """
 
     kind = "mmhd"
-    __slots__ = ("pi", "transition", "loss_c", "n_symbols")
+    __slots__ = ("pi", "transition", "loss_c", "n_symbols", "stack_rows")
 
-    def __init__(self, pi, transition, loss_c, n_symbols):
+    def __init__(self, pi, transition, loss_c, n_symbols, stack_rows):
         self.pi = pi
         self.transition = transition
         self.loss_c = loss_c
         self.n_symbols = int(n_symbols)
+        self.stack_rows = np.asarray(stack_rows)
 
     @classmethod
     def from_models(
@@ -878,6 +722,7 @@ class _MMHDBatch:
             np.stack([m.transition for m in models]),
             np.stack([m.loss_given_symbol for m in models]),
             models[0].n_symbols,
+            np.arange(len(models)),
         )
 
     @property
@@ -890,7 +735,7 @@ class _MMHDBatch:
     def rows(self, idx) -> "_MMHDBatch":
         return _MMHDBatch(
             self.pi[idx], self.transition[idx], self.loss_c[idx],
-            self.n_symbols,
+            self.n_symbols, self.stack_rows[idx],
         )
 
     def set_rows(self, idx, sub: "_MMHDBatch") -> None:
@@ -904,207 +749,49 @@ class _MMHDBatch:
             self.n_symbols,
         )
 
-    def _structured_blocks(self, aux: _EStepAux):
-        """Batched per-(symbol, symbol) transition blocks.
-
-        The stacked analogue of
-        :meth:`MarkovModelHiddenDimension._structured_transition_blocks`:
-        ``t_oo`` is ``(K, M_from, M_to, N, N)``, ``t_ol`` is
-        ``(K, M, N, S)``, ``t_lo`` is ``(K, M, S, N)``, ``t_ll`` is
-        ``(K, S, S)``, all with destination likelihoods folded in.
-        """
+    def estep(self, aux: _EStepAux) -> _MMHDStats:
+        stack = aux.stack
+        rows = self.stack_rows
+        lengths = stack.lengths[rows]
+        t_act = int(lengths.max())
         n_rows = self.n_rows
         n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-        n_states = aux.n_states
-        survive = 1.0 - self.loss_c                       # (K, M)
         c_state = self.loss_c[:, aux.state_symbol]        # (K, S)
-        a4 = self.transition.reshape(
-            n_rows, n_hidden, n_symbols, n_hidden, n_symbols
-        )
-        t_oo = (
-            np.ascontiguousarray(a4.transpose(0, 2, 4, 1, 3))
-            * survive[:, None, :, None, None]
-        )
-        t_ol = (
-            np.ascontiguousarray(a4.transpose(0, 2, 1, 3, 4)).reshape(
-                n_rows, n_symbols, n_hidden, n_states
-            )
-            * c_state[:, None, None, :]
-        )
-        t_lo = (
-            np.ascontiguousarray(a4.transpose(0, 4, 1, 2, 3)).reshape(
-                n_rows, n_symbols, n_states, n_hidden
-            )
-            * survive[:, :, None, None]
-        )
-        t_ll = self.transition * c_state[:, None, :]
-        return t_oo, t_ol, t_lo, t_ll, survive, c_state
-
-    def _estep_fast(self, aux: _EStepAux) -> _MMHDStats:
-        """Support-restricted batched E-pass (see the MMHD fast path).
-
-        Mirrors :meth:`MarkovModelHiddenDimension._estep_fast` step for
-        step: ``N``-vectors at observed instants, ``N*M``-vectors at
-        losses, with every recursion lifted to a leading batch axis.
-        """
-        index = aux.index
-        n_rows = self.n_rows
-        n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-        n_states = aux.n_states
-        symbols = index.symbol_list
-        n_steps = len(symbols)
-        n_losses = index.n_losses
-        cols = aux.cols
-        t_oo, t_ol, t_lo, t_ll, survive, c_state = self._structured_blocks(aux)
-
-        scales = np.empty((n_steps, n_rows))
-        alpha_obs = np.zeros((n_steps, n_rows, n_hidden))
-        beta_obs = np.zeros((n_steps, n_rows, n_hidden))
-        alpha_loss = np.empty((n_losses, n_rows, n_states))
-        beta_loss = np.empty((n_losses, n_rows, n_states))
-
-        # Forward pass.  As in :func:`_batched_forward_backward`, each
-        # step's matmul writes straight into its (contiguous) output row
-        # and zero-likelihood detection is deferred out of the loop.
-        m0 = symbols[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if m0 >= 0:
-                state = self.pi[:, cols[m0]] * survive[:, m0][:, None]
-            else:
-                state = self.pi * c_state
-            total = np.add.reduce(state, axis=1)
-            scales[0] = total
-            prev = state / total[:, None]
-            prev_m = m0
-            loss_ptr = 0
-            if m0 >= 0:
-                alpha_obs[0] = prev
-            else:
-                alpha_loss[0] = prev
-                loss_ptr = 1
-            for t in range(1, n_steps):
-                m = symbols[t]
-                if m >= 0:
-                    block = t_oo[:, prev_m, m] if prev_m >= 0 else t_lo[:, m]
-                    dest = alpha_obs[t]
-                else:
-                    block = t_ol[:, prev_m] if prev_m >= 0 else t_ll
-                    dest = alpha_loss[loss_ptr]
-                    loss_ptr += 1
-                np.matmul(prev[:, None, :], block,
-                          out=dest.reshape(n_rows, 1, -1))
-                total = np.add.reduce(dest, axis=1)
-                scales[t] = total
-                dest /= total[:, None]
-                prev = dest
-                prev_m = m
-            _check_scales(scales)
-
-            # Backward pass.
-            last_m = symbols[n_steps - 1]
-            loss_ptr = n_losses - 1
-            if last_m >= 0:
-                nxt = np.ones((n_rows, n_hidden))
-                beta_obs[n_steps - 1] = nxt
-            else:
-                nxt = np.ones((n_rows, n_states))
-                beta_loss[loss_ptr] = nxt
-                loss_ptr -= 1
-            next_m = last_m
-            for t in range(n_steps - 2, -1, -1):
-                m = symbols[t]
-                if m >= 0:
-                    block = t_oo[:, m, next_m] if next_m >= 0 else t_ol[:, m]
-                    dest = beta_obs[t]
-                else:
-                    block = t_lo[:, next_m] if next_m >= 0 else t_ll
-                    dest = beta_loss[loss_ptr]
-                    loss_ptr -= 1
-                np.matmul(block, nxt[:, :, None],
-                          out=dest.reshape(n_rows, -1, 1))
-                dest /= scales[t + 1][:, None]
-                nxt = dest
-                next_m = m
-
-        # Occupancies.
-        gamma_loss = alpha_loss * beta_loss                 # (L, K, S)
-        obs_vals = (alpha_obs * beta_obs).sum(axis=2)       # (T, K)
-        if m0 >= 0:
-            gamma0 = np.zeros((n_rows, n_states))
-            gamma0[:, cols[m0]] = alpha_obs[0] * beta_obs[0]
-        else:
-            gamma0 = gamma_loss[0]
-        loss_mass = (
-            gamma_loss.reshape(n_losses, n_rows, n_hidden, n_symbols)
-            .sum(axis=(0, 2))
-            if n_losses
-            else np.zeros((n_rows, n_symbols))
-        )
-        observed_mass = np.matmul(obs_vals.T[:, None, :], aux.onehot)[:, 0]
-        total_mass = loss_mass + observed_mass
-
-        # Transition statistics, batched per (symbol, symbol) pair group.
-        xi_sum = np.zeros((n_rows, n_states, n_states))
-        oo, ol, lo, ll = index.pair_groups()
-        inv_scales = 1.0 / scales
-        loss_rank = index.loss_rank
-        kix = np.arange(n_rows)
-        for (mp, m), ts in oo.items():
-            a = alpha_obs[ts - 1]
-            b = beta_obs[ts] * inv_scales[ts][:, :, None]
-            prod = np.matmul(a.transpose(1, 2, 0), b.transpose(1, 0, 2))
-            xi_sum[np.ix_(kix, cols[mp], cols[m])] += t_oo[:, mp, m] * prod
-        for mp, ts in ol.items():
-            a = alpha_obs[ts - 1]
-            b = beta_loss[loss_rank[ts]] * inv_scales[ts][:, :, None]
-            prod = np.matmul(a.transpose(1, 2, 0), b.transpose(1, 0, 2))
-            xi_sum[:, cols[mp], :] += t_ol[:, mp] * prod
-        for m, ts in lo.items():
-            a = alpha_loss[loss_rank[ts - 1]]
-            b = beta_obs[ts] * inv_scales[ts][:, :, None]
-            prod = np.matmul(a.transpose(1, 2, 0), b.transpose(1, 0, 2))
-            xi_sum[:, :, cols[m]] += t_lo[:, m] * prod
-        if len(ll):
-            a = alpha_loss[loss_rank[ll - 1]]
-            b = beta_loss[loss_rank[ll]] * inv_scales[ll][:, :, None]
-            xi_sum += t_ll * np.matmul(
-                a.transpose(1, 2, 0), b.transpose(1, 0, 2)
-            )
-
-        loglik = _row_loglik(scales)
-        return _MMHDStats(gamma0, xi_sum, loss_mass, total_mass, loglik)
-
-    def _estep_dense(self, aux: _EStepAux) -> _MMHDStats:
-        """Reference batched E-pass over full ``(T, K, N*M)`` arrays."""
-        index = aux.index
-        n_rows = self.n_rows
-        n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-        n_steps = len(index)
-        c_state = self.loss_c[:, aux.state_symbol]
-        survive = 1.0 - self.loss_c
-        likes = np.zeros((n_steps, n_rows, aux.n_states))
-        likes[index.loss_idx] = c_state[None, :, :]
-        syms = index.observed_symbols
-        observed_survive = survive[:, syms].T             # (T_obs, K)
+        survive = 1.0 - self.loss_c                       # (K, M)
+        # Per-row likelihood of each code: an observed symbol m puts
+        # 1 - c_m on the states of column d = m, a loss puts c_d on every
+        # state, padding puts zero everywhere.
+        table = np.zeros((n_rows, n_symbols + 2, aux.n_states))
+        symbols = np.arange(n_symbols)
         for h in range(n_hidden):
-            likes[index.observed_idx, :, h * n_symbols + syms] = observed_survive
-        alpha, beta, scales, loglik = aux.forward_backward(
-            self.pi, self.transition, likes
+            table[:, symbols, h * n_symbols + symbols] = survive
+        table[:, n_symbols] = c_state
+        likes = table[np.arange(n_rows), aux.codes[rows, :t_act].T]
+        lost = stack.lost[rows, :t_act]
+        alpha, beta, scales = aux.forward_backward(
+            self.pi, self.transition, likes, lengths
         )
         gamma = alpha * beta
-        weighted = likes[1:] * beta[1:] / scales[1:, :, None]
-        xi_sum = self.transition * np.matmul(
-            alpha[:-1].transpose(1, 2, 0), weighted.transpose(1, 0, 2)
-        )
+        weighted_b = likes[1:] * beta[1:] / scales[1:, :, None]
         symbol_occ = gamma.reshape(
-            n_steps, n_rows, n_hidden, n_symbols
+            t_act, n_rows, n_hidden, n_symbols
         ).sum(axis=2)
-        loss_mass = symbol_occ[index.loss_idx].sum(axis=0)
-        total_mass = symbol_occ.sum(axis=0)
+        xi_sum = np.empty_like(self.transition)
+        loss_mass = np.empty_like(self.loss_c)
+        total_mass = np.empty_like(self.loss_c)
+        loglik = np.empty(n_rows)
+        for t_g, idx in _length_groups(lengths):
+            xi_sum[idx] = self.transition[idx] * np.matmul(
+                alpha[: t_g - 1, idx].transpose(1, 2, 0),
+                weighted_b[: t_g - 1, idx].transpose(1, 0, 2),
+            )
+            occ = symbol_occ[:t_g, idx]                   # (t_g, K_g, M)
+            loss_mass[idx] = np.add.reduce(
+                occ * lost[idx, :t_g].T[:, :, None], axis=0
+            )
+            total_mass[idx] = np.add.reduce(occ, axis=0)
+            loglik[idx] = _row_loglik(scales[:t_g, idx])
         return _MMHDStats(gamma[0], xi_sum, loss_mass, total_mass, loglik)
-
-    def estep(self, aux: _EStepAux) -> _MMHDStats:
-        return self._estep_fast(aux) if aux.fast else self._estep_dense(aux)
 
     def maximize(self, stats: _MMHDStats, min_prob, prior) -> "_MMHDBatch":
         pi = floor_and_normalize(stats.gamma0, min_prob)
@@ -1114,7 +801,8 @@ class _MMHDBatch:
             stats.total_mass + prior_losses + prior_observations, 1e-300
         )
         loss_c = np.clip(loss_c, min_prob, 1.0 - min_prob)
-        return _MMHDBatch(pi, transition, loss_c, self.n_symbols)
+        return _MMHDBatch(pi, transition, loss_c, self.n_symbols,
+                          self.stack_rows)
 
     @staticmethod
     def loss_symbol_mass(stats: _MMHDStats):
@@ -1153,25 +841,8 @@ def _initial_model(kind, seq, n_hidden, config, restart):
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run_estep(batch, aux):
-    """One E-pass with the automatic float32 -> float64 retry.
-
-    At float64 this is exactly ``batch.estep(aux)``.  At float32 a
-    :class:`_BatchZeroLikelihood` triggers one demotion (see
-    :meth:`_KernelState.demote`) and a retry of the same pass at full
-    precision; only a collapse that survives float64 — a genuine zero
-    likelihood — propagates to the driver's retirement logic.
-    """
-    try:
-        return batch.estep(aux)
-    except _BatchZeroLikelihood:
-        if not aux.demote():
-            raise
-        return batch.estep(aux)
-
-
 class _BatchedEM:
-    """EM over a restart stack with convergence masking.
+    """EM over a parameter stack with convergence masking.
 
     Each :meth:`step` runs one batched E+M iteration over the *active*
     rows only: rows whose parameters have converged are frozen in the
@@ -1209,7 +880,7 @@ class _BatchedEM:
                 return False
             sub = self.batch.rows(self.active)
             try:
-                stats = run_estep(sub, self.aux)
+                stats = sub.estep(self.aux)
             except _BatchZeroLikelihood as exc:
                 self._retire_failed(exc)
                 continue
@@ -1259,7 +930,7 @@ def _finalize(kind, batch, aux, trails, converged, rows=None):
     """
     idx = np.arange(batch.n_rows) if rows is None else np.asarray(rows)
     sub = batch.rows(idx)
-    stats = run_estep(sub, aux)
+    stats = sub.estep(aux)
     mass = sub.loss_symbol_mass(stats)
     fitted_cls = _FITTED_TYPES[kind]
     fits = []
@@ -1275,18 +946,24 @@ def _finalize(kind, batch, aux, trails, converged, rows=None):
     return fits
 
 
-def _run_shard(kind, seq, n_hidden, config, restarts,
-               index: Optional[SymbolIndex] = None,
-               backend: str = "batched"):
+def _kernel_info(aux: _EStepAux) -> dict:
+    """Kernel accounting keys of one aux for the ``em.backend`` event."""
+    return {
+        "kernel": aux.kernel,
+        "block_size": BLOCK_SIZE if aux.kernel == "blocked" else 0,
+    }
+
+
+def _run_shard(kind, seq, n_hidden, config, restarts, backend="batched"):
     """Drive one batch of restarts to completion.
 
+    The restarts are equal-length rows of one :class:`SymbolStack`.
     Returns ``(fits, info)`` with ``fits`` in restart order and ``info``
     carrying the occupancy and kernel accounting for the ``em.backend``
     event.
     """
-    if index is None:
-        index = SymbolIndex(seq)
-    aux = _EStepAux(kind, index, config, n_hidden, backend=backend)
+    aux = _EStepAux(kind, SymbolStack([seq] * len(restarts)), n_hidden,
+                    backend=backend)
     models = [
         _initial_model(kind, seq, n_hidden, config, r) for r in restarts
     ]
@@ -1310,29 +987,13 @@ def _run_shard(kind, seq, n_hidden, config, restarts,
     return fits, info
 
 
-def _kernel_info(aux) -> dict:
-    """Kernel accounting keys of one aux for the ``em.backend`` event."""
-    info = {
-        "kernel": aux.kernel,
-        "block_size": aux.block_size if aux.kernel == "blocked" else 0,
-        "dtype": str(aux.dtype),
-        "dtype_fallbacks": aux.dtype_fallbacks,
-    }
-    if aux.kernel_fallback:
-        info["kernel_fallback"] = aux.kernel_fallback
-    return info
-
-
 def _shard_worker(task):
     """Batch one restart shard (parallel-map worker)."""
-    kind, seq, n_hidden, config, restarts, backend = task
-    return _run_shard(kind, seq, n_hidden, config, restarts, backend=backend)
+    return _run_shard(*task)
 
 
 def batched_restart_fits(kind, seq: ObservationSequence, n_hidden: int,
-                         config: EMConfig,
-                         index: Optional[SymbolIndex] = None,
-                         backend: str = "batched"):
+                         config: EMConfig, backend: str = "batched"):
     """All restarts of one fit through the batched engine.
 
     With ``config.n_jobs > 1`` the restarts split into contiguous shards
@@ -1345,7 +1006,7 @@ def batched_restart_fits(kind, seq: ObservationSequence, n_hidden: int,
     restarts = list(range(n_restarts))
     if n_shards <= 1:
         fits, info = _run_shard(kind, seq, n_hidden, config, restarts,
-                                index=index, backend=backend)
+                                backend)
         infos = [info]
     else:
         shards = shard_items(restarts, n_shards)
@@ -1368,13 +1029,9 @@ def record_backend(kind: str, backend: str, n_shards: int,
     because converged restarts were masked out of their batch.  The
     sequential engine reports occupancy 1.0 by construction.
 
-    Kernel accounting rides in optional info keys (absent for the
-    sequential engine, whose per-restart loop is the ``loop`` kernel at
-    float64 by definition): ``kernel`` / ``block_size`` / ``dtype`` are
-    what actually ran — so a float32 fit that demoted reports
-    ``dtype=float64`` with ``dtype_fallbacks > 0``, and a ``compiled``
-    request without numba reports the kernel it degraded to plus a
-    ``kernel_fallback`` reason.
+    ``kernel`` / ``block_size`` ride in optional info keys (absent for
+    the sequential engine, whose per-restart loop is the ``loop`` kernel
+    by definition).
     """
     if not obs.is_enabled():
         return
@@ -1384,16 +1041,10 @@ def record_backend(kind: str, backend: str, n_shards: int,
     slots = sum(i["rows"] * i["batch_iterations"] for i in infos)
     occupancy = active / slots if slots else 1.0
     kernels = {i.get("kernel", "loop") for i in infos}
-    dtypes = {i.get("dtype", "float64") for i in infos}
-    fallbacks = {i["kernel_fallback"] for i in infos
-                 if i.get("kernel_fallback")}
     obs.inc("repro_em_backend_fits_total", 1.0, model=kind, backend=backend)
     obs.observe("repro_em_batch_occupancy_ratio", occupancy, model=kind)
     obs.inc("repro_em_masked_iterations_total", float(slots - active),
             model=kind)
-    extra = {}
-    if fallbacks:
-        extra["kernel_fallback"] = "+".join(sorted(fallbacks))
     obs.emit(
         "em.backend",
         model=kind,
@@ -1405,303 +1056,7 @@ def record_backend(kind: str, backend: str, n_shards: int,
         masked_savings=round(1.0 - occupancy, 6),
         kernel=kernels.pop() if len(kernels) == 1 else "mixed",
         block_size=max(int(i.get("block_size", 0)) for i in infos),
-        dtype=dtypes.pop() if len(dtypes) == 1 else "mixed",
-        dtype_fallbacks=sum(int(i.get("dtype_fallbacks", 0)) for i in infos),
-        **extra,
     )
-
-
-# ----------------------------------------------------------------------
-# Ragged multi-sequence batches
-# ----------------------------------------------------------------------
-def _length_groups(lengths):
-    """``(length, row positions)`` per distinct row length, ascending.
-
-    The accumulation loops slice their time axis per group so every GEMM
-    and reduction contracts over exactly the row's own ``T_r`` steps —
-    the property that keeps per-row statistics bit-identical to a solo
-    fit (zero-padding the contraction would change the BLAS blocking).
-    """
-    return [
-        (int(t), np.flatnonzero(lengths == t)) for t in np.unique(lengths)
-    ]
-
-
-def _ragged_forward_backward(pi, transition, likes, lengths,
-                             workspace=None):
-    """Scaled forward-backward over rows of unequal length.
-
-    Like :func:`_batched_forward_backward`, but ``likes`` rows are only
-    meaningful for their first ``lengths[k]`` steps (zero beyond).
-    Padded steps are *carried*: the forward pass repeats the last valid
-    ``alpha`` and forces the padded scale to 1, so the per-row
-    log-likelihood (``sum(log(scales[:T_r]))``, taken by the caller per
-    length group) never sees a padded factor; the backward pass carries
-    ``beta`` leftward so the row's last valid step holds exactly the
-    solo boundary value 1.  Every valid slot is bit-identical to a solo
-    run of that row.
-    """
-    n_steps, n_rows, n = likes.shape
-    ws = workspace if workspace is not None else _Workspace()
-    dtype = likes.dtype
-    lengths = np.asarray(lengths)
-    order = np.argsort(lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    min_len = int(sorted_lengths[0])
-
-    def padded_rows(t):
-        """Rows already past their end at step ``t`` (length <= t)."""
-        return order[: np.searchsorted(sorted_lengths, t, side="right")]
-
-    alpha = ws.get("alpha", likes.shape, dtype)
-    scales = ws.get("scales", (n_steps, n_rows), dtype)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        state = pi * likes[0]
-        total = np.add.reduce(state, axis=1)
-        scales[0] = total
-        np.divide(state, total[:, None], out=alpha[0])
-        for t in range(1, n_steps):
-            state = alpha[t]
-            np.matmul(alpha[t - 1][:, None, :], transition,
-                      out=state.reshape(n_rows, 1, n))
-            state *= likes[t]
-            total = np.add.reduce(state, axis=1)
-            scales[t] = total
-            state /= total[:, None]
-            if t >= min_len:
-                pad = padded_rows(t)
-                state[pad] = alpha[t - 1][pad]
-                scales[t, pad] = 1.0
-        # Padded scales are exactly 1.0, so the uniform checker sees
-        # only genuine zeros (always at a valid step of some row).
-        _check_scales(scales)
-        beta = ws.get("beta", likes.shape, dtype)
-        beta[n_steps - 1] = 1.0
-        scaled = ws.get("scaled", (n_steps - 1, n_rows, n), dtype)
-        np.divide(likes[1:], scales[1:, :, None], out=scaled)
-        buf = ws.get("buf", (n_rows, n, 1), dtype)
-        for t in range(n_steps - 2, -1, -1):
-            np.multiply(scaled[t], beta[t + 1], out=buf[:, :, 0])
-            np.matmul(transition, buf, out=beta[t].reshape(n_rows, n, 1))
-            if t + 1 >= min_len:
-                pad = padded_rows(t + 1)
-                beta[t][pad] = beta[t + 1][pad]
-    return alpha, beta, scales
-
-
-class _RaggedAux(_KernelState):
-    """Per-mega-batch constants shared by every ragged E-pass.
-
-    The ragged analogue of :class:`_EStepAux`: everything derivable from
-    the stacked symbols alone is computed once per batch.  Row subsets
-    (the driver's active-row masking) slice into these arrays through
-    each sub-batch's ``stack_rows``.  The kernel state deliberately gets
-    *no* sequence length: the blocked kernel must run at the pinned
-    :data:`RAGGED_BLOCK_SIZE` (or an explicit ``config.block_size``) so
-    a row's arithmetic never depends on its mega-batch's ``t_max`` —
-    the fused-equals-solo byte-identity contract.
-    """
-
-    def __init__(self, kind: str, stack: SymbolStack, config: EMConfig,
-                 n_hidden: int, backend: str = "batched"):
-        self.kind = kind
-        self.stack = stack
-        self.n_hidden = int(n_hidden)
-        self.n_symbols = stack.n_symbols
-        width = self.n_hidden
-        if kind == "hmm":
-            # Row-major one-hot observed symbols for the joint_obs GEMM.
-            onehot = np.zeros((stack.n_rows, stack.t_max, stack.n_symbols))
-            k, t = np.nonzero(stack.observed)
-            onehot[k, t, stack.symbols0[k, t]] = 1.0
-            self.onehot = onehot
-        else:
-            self.n_states = self.n_hidden * self.n_symbols
-            self.state_symbol = np.tile(
-                np.arange(self.n_symbols), self.n_hidden
-            )
-            width = self.n_states
-        self._init_kernel(config, backend, width, n_steps=None)
-
-    def ragged_forward_backward(self, pi, transition, likes, lengths):
-        """One ragged forward-backward through the batch's kernel.
-
-        Returns float64 ``(alpha, beta, scales)``; the loop-kernel
-        float64 path is byte-for-byte the direct
-        :func:`_ragged_forward_backward` call it replaced.
-        """
-        pi, transition, likes = self._cast_inputs(pi, transition, likes)
-        if self.kernel == "compiled":
-            alpha, beta, scales = self._compiled_forward_backward(
-                pi, transition, likes, lengths
-            )
-        elif self.kernel == "blocked":
-            alpha, beta, scales = _blocked_forward_backward(
-                pi, transition, likes, block_size=self.block_size,
-                lengths=lengths, workspace=self.workspace,
-            )
-        else:
-            alpha, beta, scales = _ragged_forward_backward(
-                pi, transition, likes, lengths, workspace=self.workspace
-            )
-        return self._widen(alpha, beta, scales)
-
-
-class _RaggedHMMBatch(_HMMBatch):
-    """HMM parameter stack whose rows own (unequal-length) sequences."""
-
-    __slots__ = ("stack_rows",)
-
-    def __init__(self, pi, transition, emission, loss_c, stack_rows):
-        super().__init__(pi, transition, emission, loss_c)
-        self.stack_rows = np.asarray(stack_rows)
-
-    @classmethod
-    def from_models(cls, models, stack_rows):
-        base = _HMMBatch.from_models(models)
-        return cls(base.pi, base.transition, base.emission, base.loss_c,
-                   stack_rows)
-
-    def rows(self, idx) -> "_RaggedHMMBatch":
-        return _RaggedHMMBatch(
-            self.pi[idx], self.transition[idx], self.emission[idx],
-            self.loss_c[idx], self.stack_rows[idx],
-        )
-
-    def maximize(self, stats, min_prob, prior) -> "_RaggedHMMBatch":
-        base = super().maximize(stats, min_prob, prior)
-        return _RaggedHMMBatch(base.pi, base.transition, base.emission,
-                               base.loss_c, self.stack_rows)
-
-    def estep(self, aux: _RaggedAux) -> _HMMStats:
-        stack = aux.stack
-        rows = self.stack_rows
-        lengths = stack.lengths[rows]
-        t_act = int(lengths.max())
-        n_rows, n_hidden = self.pi.shape
-        survive = 1.0 - self.loss_c                       # (K, M)
-        weighted = self.emission * survive[:, None, :]    # (K, N, M)
-        loss_like = np.matmul(self.emission, self.loss_c[:, :, None])[:, :, 0]
-        sub_syms = stack.symbols0[rows, :t_act]           # (K, t_act)
-        likes = np.zeros((t_act, n_rows, n_hidden))
-        obs_k, obs_t = np.nonzero(stack.observed[rows, :t_act])
-        likes[obs_t, obs_k] = weighted[obs_k, :, sub_syms[obs_k, obs_t]]
-        lost = stack.lost[rows, :t_act]                   # (K, t_act)
-        loss_k, loss_t = np.nonzero(lost)
-        likes[loss_t, loss_k] = loss_like[loss_k]
-        alpha, beta, scales = aux.ragged_forward_backward(
-            self.pi, self.transition, likes, lengths
-        )
-        gamma = alpha * beta
-        weighted_b = likes[1:] * beta[1:] / scales[1:, :, None]
-        onehot = aux.onehot[rows, :t_act]                 # (K, t_act, M)
-        xi_sum = np.empty_like(self.transition)
-        joint_obs = np.empty_like(self.emission)
-        gamma_loss_total = np.empty_like(self.pi)
-        loglik = np.empty(n_rows)
-        for t_g, idx in _length_groups(lengths):
-            g = gamma[:t_g, idx]                          # (t_g, K_g, N)
-            joint_obs[idx] = np.matmul(
-                g.transpose(1, 2, 0), onehot[idx, :t_g]
-            )
-            xi_sum[idx] = self.transition[idx] * np.matmul(
-                alpha[: t_g - 1, idx].transpose(1, 2, 0),
-                weighted_b[: t_g - 1, idx].transpose(1, 0, 2),
-            )
-            # Masked time sum == the uniform engine's gathered loss-step
-            # sum: axis-0 reductions accumulate strictly left to right,
-            # so interleaved zeros cannot move a single bit.
-            gamma_loss_total[idx] = np.add.reduce(
-                g * lost[idx, :t_g].T[:, :, None], axis=0
-            )
-            loglik[idx] = _row_loglik(scales[:t_g, idx])
-        joint_loss = (
-            (gamma_loss_total / loss_like)[:, :, None]
-            * self.emission
-            * self.loss_c[:, None, :]
-        )
-        return _HMMStats(gamma[0], xi_sum, joint_obs, joint_loss, loglik)
-
-
-class _RaggedMMHDBatch(_MMHDBatch):
-    """MMHD parameter stack whose rows own (unequal-length) sequences.
-
-    Uses the dense ``(T, K, N*M)`` state layout: the support-restricted
-    fast path keys its block structure off one shared symbol sequence
-    and cannot batch rows whose symbols differ.  At streaming-monitor
-    state widths the dense per-step matmul is the same interpreter-bound
-    cost, so nothing is lost.
-    """
-
-    __slots__ = ("stack_rows",)
-
-    def __init__(self, pi, transition, loss_c, n_symbols, stack_rows):
-        super().__init__(pi, transition, loss_c, n_symbols)
-        self.stack_rows = np.asarray(stack_rows)
-
-    @classmethod
-    def from_models(cls, models, stack_rows):
-        base = _MMHDBatch.from_models(models)
-        return cls(base.pi, base.transition, base.loss_c, base.n_symbols,
-                   stack_rows)
-
-    def rows(self, idx) -> "_RaggedMMHDBatch":
-        return _RaggedMMHDBatch(
-            self.pi[idx], self.transition[idx], self.loss_c[idx],
-            self.n_symbols, self.stack_rows[idx],
-        )
-
-    def maximize(self, stats, min_prob, prior) -> "_RaggedMMHDBatch":
-        base = super().maximize(stats, min_prob, prior)
-        return _RaggedMMHDBatch(base.pi, base.transition, base.loss_c,
-                                base.n_symbols, self.stack_rows)
-
-    def estep(self, aux: _RaggedAux) -> _MMHDStats:
-        stack = aux.stack
-        rows = self.stack_rows
-        lengths = stack.lengths[rows]
-        t_act = int(lengths.max())
-        n_rows = self.n_rows
-        n_hidden, n_symbols = aux.n_hidden, aux.n_symbols
-        c_state = self.loss_c[:, aux.state_symbol]        # (K, S)
-        survive = 1.0 - self.loss_c                       # (K, M)
-        sub_syms = stack.symbols0[rows, :t_act]
-        likes = np.zeros((t_act, n_rows, aux.n_states))
-        obs_k, obs_t = np.nonzero(stack.observed[rows, :t_act])
-        syms = sub_syms[obs_k, obs_t]
-        vals = survive[obs_k, syms]
-        for h in range(n_hidden):
-            likes[obs_t, obs_k, h * n_symbols + syms] = vals
-        lost = stack.lost[rows, :t_act]
-        loss_k, loss_t = np.nonzero(lost)
-        likes[loss_t, loss_k] = c_state[loss_k]
-        alpha, beta, scales = aux.ragged_forward_backward(
-            self.pi, self.transition, likes, lengths
-        )
-        gamma = alpha * beta
-        weighted_b = likes[1:] * beta[1:] / scales[1:, :, None]
-        symbol_occ = gamma.reshape(
-            t_act, n_rows, n_hidden, n_symbols
-        ).sum(axis=2)
-        xi_sum = np.empty_like(self.transition)
-        loss_mass = np.empty_like(self.loss_c)
-        total_mass = np.empty_like(self.loss_c)
-        loglik = np.empty(n_rows)
-        for t_g, idx in _length_groups(lengths):
-            xi_sum[idx] = self.transition[idx] * np.matmul(
-                alpha[: t_g - 1, idx].transpose(1, 2, 0),
-                weighted_b[: t_g - 1, idx].transpose(1, 0, 2),
-            )
-            occ = symbol_occ[:t_g, idx]                   # (t_g, K_g, M)
-            loss_mass[idx] = np.add.reduce(
-                occ * lost[idx, :t_g].T[:, :, None], axis=0
-            )
-            total_mass[idx] = np.add.reduce(occ, axis=0)
-            loglik[idx] = _row_loglik(scales[:t_g, idx])
-        return _MMHDStats(gamma[0], xi_sum, loss_mass, total_mass, loglik)
-
-
-_RAGGED_TYPES = {"hmm": _RaggedHMMBatch, "mmhd": _RaggedMMHDBatch}
 
 
 # ----------------------------------------------------------------------
@@ -1715,7 +1070,7 @@ def _shared_config_key(config: EMConfig):
         config.tol, config.max_iter, config.min_prob, config.n_restarts,
         config.freeze_loss_iters, config.data_driven_init,
         config.loss_prior_losses, config.loss_prior_observations,
-        config.fast_path, config.backend, config.dtype, config.block_size,
+        config.fast_path, config.backend,
     )
 
 
@@ -1770,9 +1125,8 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
     # Phase one: every window's warm row, one ragged batch (row w is
     # window w).
     stack = SymbolStack(list(seqs))
-    aux = _RaggedAux(kind, stack, config, n_hidden, backend=backend)
-    batch = _RAGGED_TYPES[kind].from_models(list(warm_models),
-                                            np.arange(n_windows))
+    aux = _EStepAux(kind, stack, n_hidden, backend=backend)
+    batch = _BATCH_TYPES[kind].from_models(list(warm_models))
     driver = _BatchedEM(batch, aux, config, [0] * n_windows,
                         soft_rows=set(range(n_windows)))
 
@@ -1869,11 +1223,8 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
                     _initial_model(kind, seqs[w], n_hidden, configs[w], r)
                 )
         cold_stack = SymbolStack(cold_seqs)
-        cold_aux = _RaggedAux(kind, cold_stack, config, n_hidden,
-                              backend=backend)
-        cold_batch = _RAGGED_TYPES[kind].from_models(
-            cold_models, np.arange(len(cold_models))
-        )
+        cold_aux = _EStepAux(kind, cold_stack, n_hidden, backend=backend)
+        cold_batch = _BATCH_TYPES[kind].from_models(cold_models)
         cold_driver = _BatchedEM(
             cold_batch, cold_aux, config,
             [config.freeze_loss_iters] * len(cold_models),
@@ -1902,9 +1253,6 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
         info["lengths_sum"] += int(cold_stack.lengths.sum())
         info["slots"] += cold_stack.n_rows * cold_stack.t_max
         info["iter_slots"] += cold_batch.n_rows * cold_driver.batch_iterations
-        info["dtype_fallbacks"] += cold_aux.dtype_fallbacks
-        if str(cold_aux.dtype) != info["dtype"]:
-            info["dtype"] = str(cold_aux.dtype)
 
     slots = info.pop("slots")
     lengths_sum = info.pop("lengths_sum")
@@ -1919,7 +1267,6 @@ def run_hedged_fits(kind, seqs: Sequence[ObservationSequence],
 def run_hedged_fit(kind, seq: ObservationSequence, n_hidden: int,
                    config: EMConfig, warm_model,
                    trail_problem: Callable[[List[float]], Optional[str]],
-                   index: Optional[SymbolIndex] = None,
                    backend: str = "batched"):
     """Warm-started fit with a lazy cold-restart hedge.
 
@@ -1933,13 +1280,11 @@ def run_hedged_fit(kind, seq: ObservationSequence, n_hidden: int,
     Implemented as the one-window case of :func:`run_hedged_fits`, so a
     per-window (pool) drain and a fused drain run the exact same kernel
     — that shared kernel is what makes their verdict streams
-    byte-identical.  ``index`` is accepted for API compatibility; the
-    ragged engine builds its own stacked index.
+    byte-identical.
 
     Returns ``(fitted, warm_used, fallback_reason)`` matching the
     sequential policy in :func:`repro.streaming.online_em.streaming_fit`.
     """
-    del index  # the ragged engine indexes the (single-row) stack itself
     results, _ = run_hedged_fits(
         kind, [seq], n_hidden, [config], [warm_model], trail_problem,
         backend=backend,

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.bounds import weak_dcl_bound
 from repro.core.distributions import DelayDistribution
-from repro.models.base import LOSS, ObservationSequence
+from repro.models.base import LOSS, ObservationSequence, forward_backward
 
 __all__ = ["WindowDiagnostics", "compute_window_diagnostics"]
 
@@ -195,7 +195,9 @@ def compute_window_diagnostics(
         return WindowDiagnostics(False, reason="no-losses", n_obs=n_steps)
     try:
         likes = model._observation_likelihoods(symbols0)
-        alpha, _beta, scales, loglik = model._forward_backward(likes)
+        alpha, _beta, scales, loglik = forward_backward(
+            model.pi, model.transition, likes
+        )
     except FloatingPointError as exc:
         return WindowDiagnostics(False, reason=f"degenerate: {exc}",
                                  n_obs=n_steps, n_losses=n_losses)

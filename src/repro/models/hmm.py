@@ -35,6 +35,7 @@ from repro.models.base import (
     ObservationSequence,
     SymbolIndex,
     floor_and_normalize,
+    forward_backward,
     max_param_change,
     require_losses,
 )
@@ -130,44 +131,6 @@ class HiddenMarkovModel:
         likes[lost] = (self.emission @ self.loss_given_symbol)[None, :]
         return likes
 
-    def _likelihoods_from_index(self, index: SymbolIndex) -> np.ndarray:
-        """Per-step state likelihoods using the precomputed index."""
-        likes = np.empty((len(index), self.n_hidden))
-        survive = 1.0 - self.loss_given_symbol
-        syms = index.observed_symbols
-        likes[index.observed_idx] = (self.emission[:, syms] * survive[syms]).T
-        likes[index.loss_idx] = (self.emission @ self.loss_given_symbol)[None, :]
-        return likes
-
-    def _forward_backward(self, likes: np.ndarray):
-        """Scaled forward-backward.
-
-        Returns ``(alpha, beta, scales, log_likelihood)`` with ``alpha``
-        normalised per step so ``gamma = alpha * beta`` directly.
-        """
-        n_steps, n_hidden = likes.shape
-        alpha = np.empty_like(likes)
-        scales = np.empty(n_steps)
-        state = self.pi * likes[0]
-        scales[0] = state.sum()
-        if scales[0] <= 0:
-            raise FloatingPointError("zero likelihood at t=0")
-        alpha[0] = state / scales[0]
-        transition = self.transition
-        for t in range(1, n_steps):
-            state = (alpha[t - 1] @ transition) * likes[t]
-            total = state.sum()
-            if total <= 0:
-                raise FloatingPointError(f"zero likelihood at t={t}")
-            scales[t] = total
-            alpha[t] = state / total
-
-        beta = np.empty_like(likes)
-        beta[n_steps - 1] = 1.0
-        for t in range(n_steps - 2, -1, -1):
-            beta[t] = transition @ (likes[t + 1] * beta[t + 1]) / scales[t + 1]
-        return alpha, beta, scales, float(np.log(scales).sum())
-
     def log_likelihood(
         self,
         seq: ObservationSequence,
@@ -178,11 +141,9 @@ class HiddenMarkovModel:
         ``index`` reuses a caller-cached :class:`SymbolIndex` so scoring
         layers (selection, bootstrap) skip the redundant symbol scan.
         """
-        if index is not None:
-            likes = self._likelihoods_from_index(index)
-        else:
-            likes = self._observation_likelihoods(seq.zero_based())
-        _, _, _, loglik = self._forward_backward(likes)
+        symbols0 = index.symbols0 if index is not None else seq.zero_based()
+        likes = self._observation_likelihoods(symbols0)
+        _, _, _, loglik = forward_backward(self.pi, self.transition, likes)
         return loglik
 
     # ------------------------------------------------------------------
@@ -194,8 +155,10 @@ class HiddenMarkovModel:
         ``joint_obs[i, m]`` / ``joint_loss[i, m]`` are expected counts of
         (state, symbol) pairs accumulated over observed / loss instants.
         """
-        likes = self._likelihoods_from_index(index)
-        alpha, beta, scales, loglik = self._forward_backward(likes)
+        likes = self._observation_likelihoods(index.symbols0)
+        alpha, beta, scales, loglik = forward_backward(
+            self.pi, self.transition, likes
+        )
         gamma = alpha * beta
         # xi_sum[i, j] = sum_t P(s_t = i, s_{t+1} = j | obs)
         weighted = likes[1:] * beta[1:] / scales[1:, None]
@@ -220,33 +183,6 @@ class HiddenMarkovModel:
             * self.loss_given_symbol[None, :]
         )
         return _EStepStats(gamma[0], xi_sum, joint_obs, joint_loss, loglik)
-
-    def _expectations(self, seq: ObservationSequence):
-        """E-step over a raw sequence (compatibility surface).
-
-        Returns ``(gamma, xi_sum, joint_obs, joint_loss, loglik)``.
-        """
-        symbols0 = seq.zero_based()
-        likes = self._observation_likelihoods(symbols0)
-        alpha, beta, scales, loglik = self._forward_backward(likes)
-        gamma = alpha * beta
-        weighted = likes[1:] * beta[1:] / scales[1:, None]
-        xi_sum = self.transition * (alpha[:-1].T @ weighted)
-        lost = symbols0 == LOSS
-        n_hidden, n_symbols = self.emission.shape
-        joint_obs = np.zeros((n_hidden, n_symbols))
-        for m in range(n_symbols):
-            rows = gamma[symbols0 == m]
-            if rows.size:
-                joint_obs[:, m] = rows.sum(axis=0)
-        gamma_loss_total = gamma[lost].sum(axis=0)
-        loss_like = self.emission @ self.loss_given_symbol
-        joint_loss = (
-            (gamma_loss_total / loss_like)[:, None]
-            * self.emission
-            * self.loss_given_symbol[None, :]
-        )
-        return gamma, xi_sum, joint_obs, joint_loss, loglik
 
     def _maximize(
         self,
@@ -376,7 +312,7 @@ def fit_hmm(
               n_restarts=config.n_restarts, backend=backend):
         if backend in batched.BATCH_BACKENDS:
             fits = batched.batched_restart_fits(
-                "hmm", seq, n_hidden, config, index=index, backend=backend
+                "hmm", seq, n_hidden, config, backend=backend
             )
         else:
             serial = (resolve_n_jobs(config.n_jobs) <= 1

@@ -53,6 +53,7 @@ from repro.models.base import (
     ObservationSequence,
     SymbolIndex,
     floor_and_normalize,
+    forward_backward,
     max_param_change,
     require_losses,
 )
@@ -174,30 +175,6 @@ class MarkovModelHiddenDimension:
             ]
         return likes
 
-    def _forward_backward(self, likes: np.ndarray):
-        n_steps = likes.shape[0]
-        alpha = np.empty_like(likes)
-        scales = np.empty(n_steps)
-        state = self.pi * likes[0]
-        scales[0] = state.sum()
-        if scales[0] <= 0:
-            raise FloatingPointError("zero likelihood at t=0")
-        alpha[0] = state / scales[0]
-        transition = self.transition
-        for t in range(1, n_steps):
-            state = (alpha[t - 1] @ transition) * likes[t]
-            total = state.sum()
-            if total <= 0:
-                raise FloatingPointError(f"zero likelihood at t={t}")
-            scales[t] = total
-            alpha[t] = state / total
-
-        beta = np.empty_like(likes)
-        beta[n_steps - 1] = 1.0
-        for t in range(n_steps - 2, -1, -1):
-            beta[t] = transition @ (likes[t + 1] * beta[t + 1]) / scales[t + 1]
-        return alpha, beta, scales, float(np.log(scales).sum())
-
     def log_likelihood(
         self,
         seq: ObservationSequence,
@@ -210,7 +187,7 @@ class MarkovModelHiddenDimension:
         """
         symbols0 = index.symbols0 if index is not None else seq.zero_based()
         likes = self._observation_likelihoods(symbols0)
-        _, _, _, loglik = self._forward_backward(likes)
+        _, _, _, loglik = forward_backward(self.pi, self.transition, likes)
         return loglik
 
     # ------------------------------------------------------------------
@@ -220,7 +197,9 @@ class MarkovModelHiddenDimension:
         """Dense E-step: ``(gamma, xi_sum, loglik)`` with scaled recursions."""
         symbols0 = seq.zero_based()
         likes = self._observation_likelihoods(symbols0)
-        alpha, beta, scales, loglik = self._forward_backward(likes)
+        alpha, beta, scales, loglik = forward_backward(
+            self.pi, self.transition, likes
+        )
         gamma = alpha * beta
         weighted = likes[1:] * beta[1:] / scales[1:, None]
         xi_sum = self.transition * (alpha[:-1].T @ weighted)
@@ -234,7 +213,9 @@ class MarkovModelHiddenDimension:
     def _estep_dense(self, index: SymbolIndex) -> _EStepStats:
         """Reference E-step over the full ``(T, N*M)`` arrays."""
         likes = self._observation_likelihoods(index.symbols0)
-        alpha, beta, scales, loglik = self._forward_backward(likes)
+        alpha, beta, scales, loglik = forward_backward(
+            self.pi, self.transition, likes
+        )
         gamma = alpha * beta
         weighted = likes[1:] * beta[1:] / scales[1:, None]
         xi_sum = self.transition * (alpha[:-1].T @ weighted)
@@ -531,13 +512,13 @@ def fit_mmhd(
     """Fit an MMHD by EM, with optional random restarts.
 
     Restarts are independent EM runs.  ``config.backend`` selects the
-    E-step engine: the batched engine stacks all restarts into one
-    forward-backward (:mod:`repro.models.batched`, reusing the
-    structured fast-path factorization inside the batch), the
-    sequential engine runs one recursion per restart.  Either way
-    restarts fan out over ``config.n_jobs`` worker processes and the
-    best final log-likelihood wins, compared in restart order, so the
-    result is identical for any ``n_jobs``.  ``index`` reuses a
+    E-step engine: the batched engine stacks all restarts into one dense
+    forward-backward (:mod:`repro.models.batched`), the sequential
+    engine runs one recursion per restart (structured when
+    ``config.fast_path``).  Either way restarts fan out over
+    ``config.n_jobs`` worker processes and the best final log-likelihood
+    wins, compared in restart order, so the result is identical for any
+    ``n_jobs``.  ``index`` reuses a
     caller-cached :class:`SymbolIndex`.
     """
     config = config or EMConfig()
@@ -550,7 +531,7 @@ def fit_mmhd(
               n_restarts=config.n_restarts, backend=backend):
         if backend in batched.BATCH_BACKENDS:
             fits = batched.batched_restart_fits(
-                "mmhd", seq, n_hidden, config, index=index, backend=backend
+                "mmhd", seq, n_hidden, config, backend=backend
             )
         else:
             serial = (resolve_n_jobs(config.n_jobs) <= 1

@@ -90,11 +90,29 @@ def _config_kwargs(data: dict) -> dict:
     return {k: v for k, v in data.items() if k != "__type__"}
 
 
+#: EMConfig fields older manifests carry, with the one value each may
+#: hold for the run to be reproducible by today's float64, fixed-block
+#: E-step.
+_RETIRED_EM_FIELDS = {"dtype": "float64", "block_size": None}
+
+
 def em_config_from_dict(data: dict):
-    """Rebuild an :class:`~repro.models.base.EMConfig` from a manifest."""
+    """Rebuild an :class:`~repro.models.base.EMConfig` from a manifest.
+
+    Retired fields at their reproducible value are dropped; any other
+    value raises :class:`ValueError`, since that run's arithmetic no
+    longer exists.
+    """
     from repro.models.base import EMConfig
 
-    return EMConfig(**_config_kwargs(data))
+    fields = _config_kwargs(data)
+    for name, value in _RETIRED_EM_FIELDS.items():
+        if name in fields and fields.pop(name) != value:
+            raise ValueError(
+                f"manifest EMConfig sets retired field {name}="
+                f"{data[name]!r}; only {value!r} can be reproduced"
+            )
+    return EMConfig(**fields)
 
 
 def _rebuild_config(data: Optional[dict]):

@@ -202,11 +202,17 @@ class FleetService:
                generation: Optional[int] = None) -> Optional[str]:
         """Admit one record; returns ``None`` or the drop reason.
 
+        Reasons are the registry's (``unregistered`` /
+        ``stale-generation`` / ``paused``) or the monitor's record check
+        (``bad-send-time`` / ``bad-delay``).
+
         Metric flushes are deferred to the next :meth:`step` so the
         per-record cost stays O(1) dict work.
         """
         with self._lock:
             reason = self.registry.admit(path, generation)
+            if reason is None:
+                reason = self.monitor.ingest(path, send_time, delay)
             if reason is not None:
                 entry = self.registry.get(path)
                 if entry is not None:
@@ -216,7 +222,6 @@ class FleetService:
                 return reason
             self.registry.get(path).n_records += 1
             self.n_ingested += 1
-            self.monitor.ingest(path, send_time, delay)
             return None
 
     def _poll_sources(self) -> Tuple[int, int]:

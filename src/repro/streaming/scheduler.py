@@ -69,7 +69,11 @@ from repro.streaming.tracker import (
     finish_window,
     prepare_window,
 )
-from repro.streaming.windows import ProbeWindow, SlidingWindowAssembler
+from repro.streaming.windows import (
+    ProbeWindow,
+    SlidingWindowAssembler,
+    record_problem,
+)
 
 __all__ = ["MultiPathMonitor", "DRAIN_MODES"]
 
@@ -261,13 +265,20 @@ class MultiPathMonitor:
             )
         state.assembler.hop = int(hop)
 
-    def ingest(self, path: str, send_time: float, delay: float) -> None:
+    def ingest(self, path: str, send_time: float,
+               delay: float) -> Optional[str]:
         """Push one probe record for one path (cheap; never fits).
 
         O(1) per probe: the pending-window total is maintained
         incrementally rather than summed across paths, so per-probe cost
-        stays flat at fleet scale.
+        stays flat at fleet scale.  A record that fails
+        :func:`~repro.streaming.windows.record_problem` never reaches a
+        window; its drop reason is returned (``None`` for an accepted
+        record).
         """
+        reason = record_problem(send_time, delay)
+        if reason is not None:
+            return reason
         state = self._state(path)
         probe_window = state.assembler.push(send_time, delay)
         if probe_window is not None:
@@ -283,6 +294,7 @@ class MultiPathMonitor:
                 self._n_pending += 1
             state.pending.append(probe_window)
             obs.set_gauge("repro_pending_windows", self._n_pending)
+        return None
 
     @property
     def n_pending(self) -> int:

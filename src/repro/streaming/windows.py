@@ -13,6 +13,7 @@ records, so memory stays O(window) no matter how long the monitor runs.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from typing import Deque, Iterable, Iterator, Optional, Tuple
@@ -22,7 +23,31 @@ import numpy as np
 from repro.netsim.trace import PathObservation
 from repro.obs import trace as _trace
 
-__all__ = ["ProbeWindow", "SlidingWindowAssembler", "iter_windows"]
+__all__ = ["ProbeWindow", "SlidingWindowAssembler", "iter_windows",
+           "record_problem"]
+
+
+def record_problem(send_time: float, delay: float) -> Optional[str]:
+    """Why one probe record is unusable, or ``None`` when it is fine.
+
+    A record needs a finite ``send_time`` and a ``delay`` that is finite
+    and non-negative, or NaN for a lost probe.  Anything else has no
+    physical reading: one infinite delay in a window made the ``Q_k``
+    bound infinite, one negative delay shifted it by seconds, and both
+    still published as confident verdicts.  Returns ``"bad-send-time"``
+    or ``"bad-delay"``.
+    """
+    try:
+        if not math.isfinite(send_time):
+            return "bad-send-time"
+    except TypeError:
+        return "bad-send-time"
+    try:
+        if math.isnan(delay) or (math.isfinite(delay) and delay >= 0.0):
+            return None
+    except TypeError:
+        pass
+    return "bad-delay"
 
 
 class ProbeWindow:

@@ -9,17 +9,15 @@ converging early, a single-restart batch) and the backend-resolution
 knob itself.
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.models import batched
-from repro.models.base import EMConfig, SymbolIndex
+from repro.models.base import EMConfig, SymbolIndex, SymbolStack
 from repro.models.batched import (
     BATCHED_STATE_LIMIT,
-    _EStepAux,
     _BATCH_TYPES,
+    _EStepAux,
     batched_restart_fits,
     resolve_backend,
 )
@@ -76,11 +74,12 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("kind,fit,restart_worker", KINDS)
     def test_gamma_xi_statistics_match(self, seq, kind, fit, restart_worker):
-        """The batched E-step's sufficient statistics row-match the
-        sequential E-step run model-by-model."""
+        """A restart stack's sufficient statistics row-match the
+        sequential E-step run model-by-model (for the MMHD: the dense
+        batched recursion against the structured sequential one)."""
         config = EMConfig(n_restarts=3, seed=23)
         index = SymbolIndex(seq)
-        aux = _EStepAux(kind, index, config, 2)
+        aux = _EStepAux(kind, SymbolStack([seq] * 3), 2)
         models = [
             batched._initial_model(kind, seq, 2, config, r)
             for r in range(3)
@@ -208,13 +207,8 @@ class TestBackendResolution:
 # Ragged multi-sequence batches
 # ----------------------------------------------------------------------
 
-from repro.models.base import PAD, ObservationSequence, SymbolStack  # noqa: E402
-from repro.models.batched import (  # noqa: E402
-    _RAGGED_TYPES,
-    _RaggedAux,
-    run_hedged_fit,
-    run_hedged_fits,
-)
+from repro.models.base import PAD, ObservationSequence  # noqa: E402
+from repro.models.batched import run_hedged_fit, run_hedged_fits  # noqa: E402
 from repro.streaming.online_em import _trail_collapsed  # noqa: E402
 
 
@@ -262,13 +256,10 @@ class TestRaggedEStep:
     LENGTHS = [900, 400, 900, 150]
 
     def _batch(self, kind, seqs, config, n_hidden=2):
-        stack = SymbolStack(seqs)
-        aux = _RaggedAux(kind, stack, config, n_hidden)
+        aux = _EStepAux(kind, SymbolStack(seqs), n_hidden)
         models = [batched._initial_model(kind, seq, n_hidden, config, r)
                   for r, seq in enumerate(seqs)]
-        batch = _RAGGED_TYPES[kind].from_models(
-            models, np.arange(len(models))
-        )
+        batch = _BATCH_TYPES[kind].from_models(models)
         return batch, aux, models
 
     @pytest.mark.parametrize("kind", ["hmm", "mmhd"])
@@ -306,7 +297,7 @@ class TestRaggedEStep:
     @pytest.mark.parametrize("kind", ["hmm", "mmhd"])
     def test_mixed_batch_is_bitwise_equal_to_singletons(self, kind):
         """Stacking rows of unequal length changes nothing — not even
-        the last ulp — versus a one-row ragged batch per sequence."""
+        the last ulp — versus a one-row batch per sequence."""
         config = EMConfig(seed=37)
         seqs = ragged_sequences(self.LENGTHS, seed0=50)
         batch, aux, models = self._batch(kind, seqs, config)

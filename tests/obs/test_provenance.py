@@ -63,6 +63,40 @@ class TestConfigRoundTrip:
                 {"config": {"__type__": "bogus"}})
 
 
+def older_manifest(dtype="float64", block_size=None):
+    """A manifest as written while EMConfig still had ``dtype`` and
+    ``block_size`` fields."""
+    return {"schema": 1, "command": "identify", "config": {
+        "__type__": "IdentifyConfig", "n_symbols": 5, "n_hidden": 2,
+        "model": "mmhd", "beta0": 0.06, "beta1": 0.0, "tolerance": 0.001,
+        "propagation_delay": None,
+        "em": {
+            "__type__": "EMConfig", "tol": 0.001, "max_iter": 120,
+            "min_prob": 1e-10, "n_restarts": 1, "seed": 0,
+            "freeze_loss_iters": 5, "data_driven_init": True,
+            "loss_prior_losses": 1.0, "loss_prior_observations": 50.0,
+            "n_jobs": 1, "fast_path": True, "backend": "auto",
+            "dtype": dtype, "block_size": block_size,
+        },
+    }}
+
+
+class TestRetiredEMFields:
+    def test_reproducible_values_are_dropped(self):
+        config = provenance.identify_config_from_manifest(older_manifest())
+        assert config.em.max_iter == 120 and config.em.backend == "auto"
+        assert not hasattr(config.em, "dtype")
+        assert not hasattr(config.em, "block_size")
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("dtype", {"dtype": "float32"}),
+        ("block_size", {"block_size": 96}),
+    ])
+    def test_other_values_name_the_retired_field(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            provenance.identify_config_from_manifest(older_manifest(**kwargs))
+
+
 class TestCollect:
     def test_manifest_captures_environment_and_seeds(self):
         config = IdentifyConfig(em=EMConfig(seed=13))

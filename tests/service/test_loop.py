@@ -1,6 +1,9 @@
 """Tests for the FleetService loop: parity, admission, overload, events."""
 
 import json
+import math
+
+import pytest
 
 from repro import obs
 from repro.experiments.streams import strong_dcl_stream
@@ -90,6 +93,36 @@ class TestAdmission:
         out = service.deregister("pA")
         assert out["discarded_windows"] > 0
         assert service.monitor.n_pending == 0
+
+
+class TestHostileRecords:
+    @pytest.mark.parametrize("bad", [math.inf, -5.0])
+    def test_bad_delay_is_a_typed_drop_and_bounds_stay_finite(self, bad):
+        """One non-physical delay in a 600-probe window used to publish
+        a confident verdict with an infinite or shifted Q_k bound."""
+        service, payloads = collecting_service()
+        service.register("pA")
+        records = list(strong_dcl_stream(900, seed=3))
+        reasons = []
+        for i, (send_time, delay) in enumerate(records):
+            if i == 100:
+                delay = bad
+            reasons.append(service.ingest("pA", send_time, delay))
+        assert reasons[100] == "bad-delay"
+        assert reasons.count(None) == len(records) - 1
+        assert service._drop_counts == {"bad-delay": 1}
+        assert service.registry.get("pA").n_dropped == 1
+        service.step()
+        bounds = [p["bound_seconds"] for p in payloads
+                  if p.get("bound_seconds") is not None]
+        assert bounds and all(0.0 <= b < 1.0 for b in bounds)
+
+    def test_bad_send_time_is_a_typed_drop(self):
+        service, _ = collecting_service()
+        service.register("pA")
+        assert service.ingest("pA", math.nan, 0.02) == "bad-send-time"
+        assert service.ingest("pA", 0.0, math.nan) is None  # a lost probe
+        assert service._drop_counts == {"bad-send-time": 1}
 
 
 class TestLoop:

@@ -210,3 +210,14 @@ class TestBackloggedRounds:
         assert monitor.n_pending == truth() == 1
         assert monitor.finish()  # flushes p0 and p1 tails
         assert monitor.n_pending == truth() == 0
+
+
+class TestRecordCheck:
+    def test_rejected_records_never_reach_a_window(self):
+        monitor = MultiPathMonitor(fast_config(), drain_mode="fused")
+        assert monitor.ingest("pA", 0.0, float("inf")) == "bad-delay"
+        assert monitor.ingest("pA", float("nan"), 0.02) == "bad-send-time"
+        assert monitor.ingest("pA", 0.0, -5.0) == "bad-delay"
+        assert monitor.pending_windows == {}
+        assert monitor.ingest("pA", 0.0, 0.02) is None
+        assert monitor.pending_windows == {"pA": 0}

@@ -7,6 +7,7 @@ from repro.streaming.windows import (
     ProbeWindow,
     SlidingWindowAssembler,
     iter_windows,
+    record_problem,
 )
 
 
@@ -135,3 +136,23 @@ class TestIterWindows:
         lo, hi = window.time_range
         assert lo == pytest.approx(0.0)
         assert hi == pytest.approx(9 * 0.02)
+
+
+class TestRecordProblem:
+    @pytest.mark.parametrize("send_time,delay", [
+        (0.0, 0.0), (1.5, 0.02), (2, 3), (np.float64(4.0), np.nan),
+    ])
+    def test_accepts_physical_records_and_losses(self, send_time, delay):
+        assert record_problem(send_time, delay) is None
+
+    @pytest.mark.parametrize("send_time,delay,reason", [
+        (np.inf, 0.02, "bad-send-time"),
+        (np.nan, 0.02, "bad-send-time"),
+        ("x", 0.02, "bad-send-time"),
+        (0.0, np.inf, "bad-delay"),
+        (0.0, -np.inf, "bad-delay"),
+        (0.0, -5.0, "bad-delay"),
+        (0.0, None, "bad-delay"),
+    ])
+    def test_rejects_with_a_typed_reason(self, send_time, delay, reason):
+        assert record_problem(send_time, delay) == reason
